@@ -1,32 +1,26 @@
-//! Serving throughput: the pl-serve dynamic batcher vs unbatched decode,
-//! serial vs fused batch execution.
+//! Serving throughput: the pl-serve dynamic batcher vs unbatched decode.
 //!
 //! N closed-loop client sessions decode through the server at several
 //! `max_batch` settings (1 disables coalescing — every step is its own
-//! parallel region), in both batch-execution modes: **serial** (each
-//! session's step runs whole inside the region; B `hidden x 1` GEMVs per
-//! layer) and **fused** (`ServerConfig::fused`: one `hidden x B` GEMM per
-//! layer projection). Reported: decode steps/s, mean executed batch,
-//! p50/p99 queue-to-reply latency. The batched rows amortize region
-//! broadcasts (PAR-MODE dynamic scheduling at the request level); the
-//! fused rows additionally raise decode arithmetic intensity from O(1)
-//! to O(B) — the throughput lever the paper's BRGEMM design exists for,
-//! which is where the fused-over-serial headroom at B >= 4 comes from.
+//! forward). A batch of B lanes runs each layer projection as one
+//! `hidden x B` GEMM instead of B `hidden x 1` GEMVs, raising decode
+//! arithmetic intensity from O(1) to O(B) — the throughput lever the
+//! paper's BRGEMM design exists for. Reported: decode steps/s, mean
+//! executed batch, p50/p99 queue-to-reply latency.
 
 use pl_bench::{
-    f1, f2, fused_regressions, header, measure_router_steps_per_s, router_mode_name, row, time_it,
-    trace_shapes_json, BenchArtifact, BenchRow, RouterLoad, ROUTING_OVERHEAD, SERVE_ARTIFACT,
-    TRACE_SHAPES_ARTIFACT,
+    f1, f2, header, measure_router_steps_per_s, row, time_it, trace_shapes_json, BenchArtifact,
+    BenchRow, RouterLoad, ROUTER_MODE, ROUTING_OVERHEAD, SERVE_ARTIFACT, TRACE_SHAPES_ARTIFACT,
 };
 use pl_dnn::matmul::{matmul, Trans};
 use pl_dnn::{DecoderConfig, DecoderModel, MatmulPlan, Precision};
 use pl_perfmodel::Platform;
 use pl_retune::{
-    host_fingerprint, measure_mode_crossover, parse_summary, tune_prefill_chunk, RetuneConfig,
+    host_fingerprint, measure_decode_steps_per_s, parse_summary, tune_prefill_chunk, RetuneConfig,
     Retuner, ServeRow, TuneArtifact, TUNE_DB_ARTIFACT,
 };
 use pl_runtime::{default_threads, ThreadPool};
-use pl_serve::{BatchModeTable, Server, ServerConfig};
+use pl_serve::{Server, ServerConfig};
 use pl_tensor::{fill_uniform, Xorshift};
 use pl_trace::TraceSummary;
 use std::sync::Arc;
@@ -36,23 +30,17 @@ const SESSIONS: usize = 8;
 const STEPS: usize = 32;
 const KV: usize = 64;
 
-/// Artifact mode string: execution mode, suffixed with the precision when
-/// it is not the f32 default (`serial`, `fused-i8`, …) so per-precision
-/// rows coexist under distinct `{mode, batch, shards}` keys.
-fn serve_mode_name(fused: bool, precision: Precision) -> String {
-    let base = if fused { "fused" } else { "serial" };
+/// Artifact mode string, suffixed with the precision when it is not the
+/// f32 default (`batched`, `batched-i8`) so per-precision rows coexist
+/// under distinct `{mode, batch, shards}` keys.
+fn serve_mode_name(precision: Precision) -> &'static str {
     match precision {
-        Precision::F32 => base.to_string(),
-        Precision::Int8 => format!("{base}-i8"),
+        Precision::F32 => "batched",
+        Precision::Int8 => "batched-i8",
     }
 }
 
-fn drive(
-    max_batch: usize,
-    fused: bool,
-    model: &Arc<DecoderModel>,
-    pool: &Arc<ThreadPool>,
-) -> (f64, u64) {
+fn drive(max_batch: usize, model: &Arc<DecoderModel>, pool: &Arc<ThreadPool>) -> (f64, u64) {
     let cfg = model.config();
     let hidden = cfg.hidden;
     let mut server = Server::new(
@@ -63,7 +51,6 @@ fn drive(
             max_batch,
             kv_capacity: KV,
             coalesce_wait: Duration::from_millis(1),
-            fused,
             precision: model.precision(),
             ..Default::default()
         },
@@ -87,7 +74,7 @@ fn drive(
     server.shutdown();
     row(&[
         max_batch.to_string(),
-        serve_mode_name(fused, model.precision()),
+        serve_mode_name(model.precision()).to_string(),
         f1(snap.tokens_per_s),
         f2(snap.mean_batch),
         snap.max_batch_observed.to_string(),
@@ -366,8 +353,8 @@ fn pack_amortization(pool: &Arc<ThreadPool>) {
 
 /// The quantized decode path: the same closed-loop workload served from
 /// the int8 model (same seed, so its weights are the exact quantization
-/// of the f32 model's), in both execution modes at B ∈ {1, 8}. The
-/// artifact gains `serial-i8` / `fused-i8` rows, and the same-host
+/// of the f32 model's) at B ∈ {1, 8}. The artifact gains `batched-i8`
+/// rows, and the same-host
 /// comparison table prints the i8/f32 throughput ratio against the f32
 /// numbers measured *this run* (`f32_ref`) — decode is weight-bandwidth
 /// bound, so the ~4x weight-stream reduction printed above the table is
@@ -376,7 +363,7 @@ fn int8_sweep(
     f32_model: &Arc<DecoderModel>,
     i8_model: &Arc<DecoderModel>,
     pool: &Arc<ThreadPool>,
-    f32_ref: &[(usize, bool, f64)],
+    f32_ref: &[(usize, f64)],
     fp: &str,
     artifact: &mut BenchArtifact,
 ) {
@@ -386,18 +373,16 @@ fn int8_sweep(
     );
     let mut measured = Vec::new();
     for &batch in &[1usize, SESSIONS] {
-        for &fused in &[false, true] {
-            let (sps, p99) = drive(batch, fused, i8_model, pool);
-            artifact.upsert(BenchRow {
-                mode: serve_mode_name(fused, Precision::Int8),
-                batch,
-                shards: 1,
-                steps_per_s: sps,
-                p99_us: p99 as f64,
-                fingerprint: fp.into(),
-            });
-            measured.push((batch, fused, sps));
-        }
+        let (sps, p99) = drive(batch, i8_model, pool);
+        artifact.upsert(BenchRow {
+            mode: serve_mode_name(Precision::Int8).into(),
+            batch,
+            shards: 1,
+            steps_per_s: sps,
+            p99_us: p99 as f64,
+            fingerprint: fp.into(),
+        });
+        measured.push((batch, sps));
     }
     let f32_bytes = f32_model.weight_stream_bytes_per_step();
     let i8_bytes = i8_model.weight_stream_bytes_per_step();
@@ -409,16 +394,14 @@ fn int8_sweep(
     );
     header(
         "f32 vs int8, same host, this run [measured]",
-        &["max_batch", "mode", "f32 steps/s", "i8 steps/s", "i8/f32"],
+        &["max_batch", "f32 steps/s", "i8 steps/s", "i8/f32"],
     );
-    for (batch, fused, i8_sps) in measured {
-        let Some(&(_, _, f32_sps)) = f32_ref.iter().find(|&&(b, f, _)| b == batch && f == fused)
-        else {
+    for (batch, i8_sps) in measured {
+        let Some(&(_, f32_sps)) = f32_ref.iter().find(|&&(b, _)| b == batch) else {
             continue;
         };
         row(&[
             batch.to_string(),
-            if fused { "fused" } else { "serial" }.to_string(),
             f1(f32_sps),
             f1(i8_sps),
             format!("{:.2}x", i8_sps / f32_sps.max(1e-9)),
@@ -441,52 +424,48 @@ fn router_scaling(
     fp: &str,
     artifact: &mut BenchArtifact,
 ) {
-    for &fused in &[false, true] {
-        let mode = router_mode_name(fused);
-        let load = RouterLoad {
-            sessions: ROUTER_SESSIONS,
-            steps: STEPS,
-            tenants: 2,
-            kv_capacity: KV,
-            fused,
-            seed: 70,
-        };
-        header(
-            &format!(
-                "pl-router scale-out ({ROUTER_SESSIONS} sessions x {STEPS} steps, \
-                 {total_threads} threads split across shards, {mode}) [measured]"
-            ),
-            &["shards", "steps/s", "measured x", "projected x", "p99 us"],
-        );
-        let mut single = 0.0f64;
-        for shards in [1usize, 2, 4] {
-            let m = measure_router_steps_per_s(model, shards, total_threads, &load);
-            if shards == 1 {
-                single = m.steps_per_s;
-            }
-            let projection =
-                pl_router::serving_scaling_model(ROUTING_OVERHEAD).projected_speedup(shards);
-            row(&[
-                shards.to_string(),
-                f1(m.steps_per_s),
-                format!("{:.2}x", m.steps_per_s / single.max(1e-9)),
-                format!("{projection:.2}x"),
-                m.p99_us.to_string(),
-            ]);
-            artifact.upsert(BenchRow {
-                mode: mode.to_string(),
-                batch: ROUTER_SESSIONS,
-                shards,
-                steps_per_s: m.steps_per_s,
-                p99_us: m.p99_us as f64,
-                fingerprint: fp.into(),
-            });
+    let load = RouterLoad {
+        sessions: ROUTER_SESSIONS,
+        steps: STEPS,
+        tenants: 2,
+        kv_capacity: KV,
+        seed: 70,
+    };
+    header(
+        &format!(
+            "pl-router scale-out ({ROUTER_SESSIONS} sessions x {STEPS} steps, \
+             {total_threads} threads split across shards) [measured]"
+        ),
+        &["shards", "steps/s", "measured x", "projected x", "p99 us"],
+    );
+    let mut single = 0.0f64;
+    for shards in [1usize, 2, 4] {
+        let m = measure_router_steps_per_s(model, shards, total_threads, &load);
+        if shards == 1 {
+            single = m.steps_per_s;
         }
+        let projection =
+            pl_router::serving_scaling_model(ROUTING_OVERHEAD).projected_speedup(shards);
+        row(&[
+            shards.to_string(),
+            f1(m.steps_per_s),
+            format!("{:.2}x", m.steps_per_s / single.max(1e-9)),
+            format!("{projection:.2}x"),
+            m.p99_us.to_string(),
+        ]);
+        artifact.upsert(BenchRow {
+            mode: ROUTER_MODE.into(),
+            batch: ROUTER_SESSIONS,
+            shards,
+            steps_per_s: m.steps_per_s,
+            p99_us: m.p99_us as f64,
+            fingerprint: fp.into(),
+        });
     }
 }
 
 /// The flight-recorder's disabled-path cost, as a bench row pair: the
-/// same fused B = 8 drive with tracing compiled in but **off** (the
+/// same B = 8 drive with tracing compiled in but **off** (the
 /// default everywhere else in this harness — one relaxed atomic load per
 /// would-be span) vs **on** (every span recorded into the per-thread
 /// rings). The off row must sit within noise of the on-row-free sweep
@@ -498,7 +477,7 @@ fn trace_overhead(
     artifact: &mut BenchArtifact,
 ) {
     header(
-        &format!("pl-trace overhead (fused, max_batch={SESSIONS}) [measured]"),
+        &format!("pl-trace overhead (max_batch={SESSIONS}) [measured]"),
         &["max_batch", "mode", "steps/s", "mean batch", "max batch", "p50 us", "p99 us"],
     );
     assert!(!pl_trace::enabled(), "overhead baseline needs tracing off");
@@ -510,14 +489,12 @@ fn trace_overhead(
     let best = |rows: [(f64, u64); REPS]| {
         rows.into_iter().reduce(|a, b| if b.0 > a.0 { b } else { a }).unwrap()
     };
-    let (off_sps, off_p99) = best(std::array::from_fn(|_| drive(SESSIONS, true, model, pool)));
+    let (off_sps, off_p99) = best(std::array::from_fn(|_| drive(SESSIONS, model, pool)));
     pl_trace::enable();
-    let (on_sps, on_p99) = best(std::array::from_fn(|_| drive(SESSIONS, true, model, pool)));
+    let (on_sps, on_p99) = best(std::array::from_fn(|_| drive(SESSIONS, model, pool)));
     pl_trace::disable();
     println!("tracing on/off throughput ratio: {:.3}", on_sps / off_sps.max(1e-9));
-    for (mode, sps, p99) in
-        [("fused-trace-off", off_sps, off_p99), ("fused-trace-on", on_sps, on_p99)]
-    {
+    for (mode, sps, p99) in [("trace-off", off_sps, off_p99), ("trace-on", on_sps, on_p99)] {
         artifact.upsert(BenchRow {
             mode: mode.into(),
             batch: SESSIONS,
@@ -544,11 +521,9 @@ const BREAKDOWN_SPANS: [&str; 9] = [
     "decode.ffn",
 ];
 
-/// `--trace`: re-drive the B = 8 serial and fused workloads with the
-/// flight recorder on, and print the per-phase time breakdown that
-/// explains where the two execution modes actually spend the step — the
-/// serial/fused gap attributed to named spans instead of guessed at.
-/// The int8 model is re-driven too (both modes), so the per-shape
+/// `--trace`: re-drive the B = 8 workload with the flight recorder on
+/// and print the per-phase time breakdown of a step, batcher-level down
+/// to kernel-level. The int8 model is re-driven too, so the per-shape
 /// artifact carries `gemm.i8.execute` rows next to the f32 rows of the
 /// same shapes. Writes the full event stream to `trace_serve.json`
 /// (Chrome `chrome://tracing` / Perfetto format) and the per-shape
@@ -556,17 +531,12 @@ const BREAKDOWN_SPANS: [&str; 9] = [
 /// `TRACE_shapes.json`.
 fn trace_diagnose(model: &Arc<DecoderModel>, i8_model: &Arc<DecoderModel>, pool: &Arc<ThreadPool>) {
     pl_trace::enable();
-    let serial_since = pl_trace::now_ns();
-    println!("\n--- traced re-run: serial then fused at max_batch={SESSIONS} ---");
-    drive(SESSIONS, false, model, pool);
-    let serial_events = pl_trace::snapshot_since(serial_since);
-    let fused_since = pl_trace::now_ns();
-    drive(SESSIONS, true, model, pool);
-    let fused_events = pl_trace::snapshot_since(fused_since);
+    let f32_since = pl_trace::now_ns();
+    println!("\n--- traced re-run at max_batch={SESSIONS}: f32 then int8 ---");
+    drive(SESSIONS, model, pool);
+    let f32_events = pl_trace::snapshot_since(f32_since);
     let i8_since = pl_trace::now_ns();
-    println!("--- traced re-run: int8 serial then fused at max_batch={SESSIONS} ---");
-    drive(SESSIONS, false, i8_model, pool);
-    drive(SESSIONS, true, i8_model, pool);
+    drive(SESSIONS, i8_model, pool);
     let i8_events = pl_trace::snapshot_since(i8_since);
     pl_trace::disable();
     if pl_trace::total_dropped() > 0 {
@@ -575,48 +545,34 @@ fn trace_diagnose(model: &Arc<DecoderModel>, i8_model: &Arc<DecoderModel>, pool:
             pl_trace::total_dropped()
         );
     }
-    let serial = TraceSummary::from_events(&serial_events);
-    let fused = TraceSummary::from_events(&fused_events);
+    let f32_summary = TraceSummary::from_events(&f32_events);
+    let i8_summary = TraceSummary::from_events(&i8_events);
 
     header(
-        &format!("per-phase breakdown, serial vs fused (max_batch={SESSIONS}) [traced]"),
-        &["span", "serial ms", "count", "fused ms", "count", "fused/serial"],
+        &format!("per-phase breakdown (max_batch={SESSIONS}) [traced]"),
+        &["span", "f32 ms", "count", "int8 ms", "count"],
     );
     for name in BREAKDOWN_SPANS {
-        let (s_ns, s_n) = (serial.total_ns_for(name), serial.count_for(name));
-        let (f_ns, f_n) = (fused.total_ns_for(name), fused.count_for(name));
         row(&[
             name.to_string(),
-            f2(s_ns as f64 / 1e6),
-            s_n.to_string(),
-            f2(f_ns as f64 / 1e6),
-            f_n.to_string(),
-            format!("{:.2}x", f_ns as f64 / (s_ns as f64).max(1e-9)),
+            f2(f32_summary.total_ns_for(name) as f64 / 1e6),
+            f32_summary.count_for(name).to_string(),
+            f2(i8_summary.total_ns_for(name) as f64 / 1e6),
+            i8_summary.count_for(name).to_string(),
         ]);
     }
-    let gemm = |s: &TraceSummary| s.total_ns_for("gemm.execute") + s.total_ns_for("spmm.execute");
-    row(&[
-        "gemm+spmm".to_string(),
-        f2(gemm(&serial) as f64 / 1e6),
-        serial.count_for("gemm.execute").to_string(),
-        f2(gemm(&fused) as f64 / 1e6),
-        fused.count_for("gemm.execute").to_string(),
-        format!("{:.2}x", gemm(&fused) as f64 / (gemm(&serial) as f64).max(1e-9)),
-    ]);
 
-    // All runs in one Chrome trace: each re-run's events precede the
-    // next's on the shared epoch clock, so concatenation stays sorted.
-    let mut all = serial_events;
-    all.extend(fused_events);
-    all.extend(i8_events.iter().cloned());
+    // Both runs in one Chrome trace: the int8 events follow the f32 ones
+    // on the shared epoch clock, so concatenation stays sorted.
+    let mut all = f32_events;
+    all.extend(i8_events);
     let trace_path = pl_bench::workspace_path("trace_serve.json");
     match std::fs::write(&trace_path, pl_trace::chrome_trace_json(&all)) {
         Ok(()) => println!("\nwrote {} events to {}", all.len(), trace_path.display()),
         Err(e) => eprintln!("\nfailed to write {}: {e}", trace_path.display()),
     }
-    let mut shapes = serial;
-    shapes.merge(&fused);
-    shapes.merge(&TraceSummary::from_events(&i8_events));
+    let mut shapes = f32_summary;
+    shapes.merge(&i8_summary);
     let shapes_path = pl_bench::workspace_path(TRACE_SHAPES_ARTIFACT);
     match std::fs::write(&shapes_path, trace_shapes_json(&shapes)) {
         Ok(()) => println!("wrote per-shape kernel timings to {}", shapes_path.display()),
@@ -625,19 +581,13 @@ fn trace_diagnose(model: &Arc<DecoderModel>, i8_model: &Arc<DecoderModel>, pool:
 }
 
 /// The pl-retune closed loop, run against this bench's own workload:
-/// measure the serial-vs-fused crossover per batch width on a live
-/// server (installing the measured [`BatchModeTable`]), run one retune
+/// measure B = 8 decode throughput on a live server, run one retune
 /// cycle over the harvested hot shapes (installing measured loop-spec
-/// winners through the registry epoch), then **re-measure** B = 8 in
-/// both modes with the retuned specs live. All before/after rows come
-/// from the same manual-pump instrument the decision is made with (the
-/// threaded client driver's coalesce waits and scheduling put the
-/// fused/serial gap inside its run-to-run noise on a loaded host); they
-/// land in the artifact as `pre-retune`/`post-retune`, and the whole
-/// evidence chain (shape winners, mode decisions, before/after serving
-/// rows) is written to `TUNE_db.json`. Asserts the fused-vs-serial call
-/// at B = 8 is closed: either fused no longer regresses, or the
-/// measured policy switched the mode.
+/// winners through the registry epoch) and the prefill-chunk tuner, then
+/// **re-measure** B = 8 with the retuned specs live. Both rows come from
+/// the same manual-pump instrument; they land in the artifact as
+/// `pre-retune`/`post-retune`, and the whole evidence chain (shape
+/// winners, before/after serving rows) is written to `TUNE_db.json`.
 fn retune_closed_loop(
     model: &Arc<DecoderModel>,
     pool: &Arc<ThreadPool>,
@@ -658,17 +608,7 @@ fn retune_closed_loop(
         },
     );
     server.warm_tuning(retuner.platform(), threads);
-    header(
-        &format!("pl-retune: measured fused-vs-serial crossover ({threads} threads) [measured]"),
-        &["batch", "serial steps/s", "fused steps/s", "decided"],
-    );
-    let cross = measure_mode_crossover(&server, &[1, 2, 4, SESSIONS], 16);
-    let table = BatchModeTable::from_measurements(&cross);
-    server.install_mode_policy(table.clone());
-    for &(w, s, f) in &cross {
-        let decided = table.fused_for(w).unwrap_or(false);
-        row(&[w.to_string(), f1(s), f1(f), if decided { "fused" } else { "serial" }.to_string()]);
-    }
+    let pre = measure_decode_steps_per_s(&server, SESSIONS, 32);
     let report = retuner.run_cycle(&server, pool);
     header(
         &format!(
@@ -692,9 +632,9 @@ fn retune_closed_loop(
         "registry epoch {} -> {}: {} spec(s) changed in {:.2}s",
         report.epoch_before, report.epoch_after, report.specs_changed, report.cycle_seconds
     );
-    // The other serve-level knob the measured loop learns: the prefill
-    // chunk size that best protects decode latency with a prefill in
-    // flight. The winner stays installed for the post-retune re-measure.
+    // The serve-level knob the measured loop learns: the prefill chunk
+    // size that best protects decode latency with a prefill in flight.
+    // The winner stays installed for the post-retune re-measure.
     header(
         "pl-retune: prefill chunk under decode load (32-token prompt, 4 decode lanes) [measured]",
         &["chunk", "decode steps/s"],
@@ -704,71 +644,32 @@ fn retune_closed_loop(
         row(&[c.to_string(), f1(sps)]);
     }
     println!("installed prefill chunk: {best_chunk}");
-    // Post-retune re-measure, same instrument: the retuned specs are
-    // installed, so the B = 8 crossover now runs the measured winners.
-    let (_, post_serial, post_fused) = measure_mode_crossover(&server, &[SESSIONS], 32)[0];
-    server.install_mode_policy(table.clone()); // the crossover leaves a forced mode
+    // Post-retune re-measure, same instrument, retuned specs installed.
+    let post = measure_decode_steps_per_s(&server, SESSIONS, 32);
     server.shutdown();
-    let (_, pre_serial, pre_fused) = *cross.last().unwrap();
-    let decided_fused = table.fused_for(SESSIONS).unwrap_or(false);
-    let post_decided = if decided_fused { post_fused } else { post_serial };
-    println!(
-        "B={SESSIONS} decision: {} (pre-retune: serial {} / fused {}; post-retune: \
-         serial {} / fused {})",
-        if decided_fused { "fused" } else { "serial" },
-        f1(pre_serial),
-        f1(pre_fused),
-        f1(post_serial),
-        f1(post_fused),
-    );
-    // The fused-regression satellite: the mode at B = 8 is now whichever
-    // side measured faster, so either fused holds its own post-retune or
-    // the decision switched to serial. 0.85: headroom for measurement
-    // noise on a loaded host.
-    if decided_fused {
-        assert!(
-            post_fused >= 0.85 * post_serial,
-            "fused decided at B={SESSIONS} but still regresses: fused {post_fused:.0} vs \
-             serial {post_serial:.0} steps/s"
-        );
-    }
-    // The committed before/after pair: what the static default mode
-    // (serial) was delivering vs what the measured decision delivers
-    // with the retuned specs installed. p99 is not part of this
+    println!("B={SESSIONS} decode: pre-retune {} / post-retune {} steps/s", f1(pre), f1(post));
+    // The committed before/after pair. p99 is not part of this
     // instrument — the latency rows above keep that story.
-    artifact.upsert(BenchRow {
-        mode: "pre-retune".into(),
-        batch: SESSIONS,
-        shards: 1,
-        steps_per_s: pre_serial,
-        p99_us: 0.0,
-        fingerprint: fp.into(),
-    });
-    artifact.upsert(BenchRow {
-        mode: "post-retune".into(),
-        batch: SESSIONS,
-        shards: 1,
-        steps_per_s: post_decided,
-        p99_us: 0.0,
-        fingerprint: fp.into(),
-    });
+    for (mode, sps) in [("pre-retune", pre), ("post-retune", post)] {
+        artifact.upsert(BenchRow {
+            mode: mode.into(),
+            batch: SESSIONS,
+            shards: 1,
+            steps_per_s: sps,
+            p99_us: 0.0,
+            fingerprint: fp.into(),
+        });
+    }
 
     let mut tune = TuneArtifact {
         fingerprint: host_fingerprint(retuner.platform().name, threads),
         ..Default::default()
     };
     tune.add_report(&report);
-    tune.add_decisions(&table);
-    for (phase, mode, sps) in [
-        ("pre-retune", "serial", pre_serial),
-        ("pre-retune", "fused", pre_fused),
-        ("post-retune", "serial", post_serial),
-        ("post-retune", "fused", post_fused),
-        ("post-retune", "decided", post_decided),
-    ] {
+    for (phase, sps) in [("pre-retune", pre), ("post-retune", post)] {
         tune.serve.push(ServeRow {
             phase: phase.into(),
-            mode: mode.into(),
+            mode: "batched".into(),
             batch: SESSIONS,
             shards: 1,
             steps_per_s: sps,
@@ -811,26 +712,12 @@ fn main() {
         ),
         &["max_batch", "mode", "steps/s", "mean batch", "max batch", "p50 us", "p99 us"],
     );
-    let mut serial_at_max = 0.0;
-    let mut fused_at_max = 0.0;
     let mut f32_ref = Vec::new();
     for max_batch in [1usize, 2, 4, 8] {
-        let (sps, p99) = drive(max_batch, false, &model, &pool);
-        serial_at_max = sps;
-        f32_ref.push((max_batch, false, sps));
+        let (sps, p99) = drive(max_batch, &model, &pool);
+        f32_ref.push((max_batch, sps));
         artifact.upsert(BenchRow {
-            mode: "serial".into(),
-            batch: max_batch,
-            shards: 1,
-            steps_per_s: sps,
-            p99_us: p99 as f64,
-            fingerprint: fp.clone(),
-        });
-        let (sps, p99) = drive(max_batch, true, &model, &pool);
-        fused_at_max = sps;
-        f32_ref.push((max_batch, true, sps));
-        artifact.upsert(BenchRow {
-            mode: "fused".into(),
+            mode: serve_mode_name(Precision::F32).into(),
             batch: max_batch,
             shards: 1,
             steps_per_s: sps,
@@ -839,8 +726,8 @@ fn main() {
         });
     }
     println!(
-        "\nfused/serial speedup at max_batch=8: {:.2}x",
-        fused_at_max / serial_at_max.max(1e-9)
+        "\nbatched speedup at max_batch=8 over unbatched: {:.2}x",
+        f32_ref[3].1 / f32_ref[0].1.max(1e-9)
     );
     int8_sweep(&model, &i8_model, &pool, &f32_ref, &fp, &mut artifact);
     mixed_workload(&model, &pool, &fp, &mut artifact);
@@ -850,9 +737,6 @@ fn main() {
     trace_overhead(&model, &pool, &fp, &mut artifact);
     if trace_mode {
         trace_diagnose(&model, &i8_model, &pool);
-    }
-    for warning in fused_regressions(artifact.rows()) {
-        println!("{warning}");
     }
     match artifact.save(&pl_bench::workspace_path(SERVE_ARTIFACT)) {
         Ok(()) => println!("\nwrote {} rows to {SERVE_ARTIFACT}", artifact.rows().len()),

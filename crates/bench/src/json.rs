@@ -204,8 +204,7 @@ mod tests {
         s.prefills = 107;
         s.prefill_chunks = 108;
         s.mixed_batches = 109;
-        s.fused_batches = 110;
-        s.fused_gemm_shapes = vec![((2, 64, 64), 7), ((4, 64, 64), 9)];
+        s.gemm_shapes = vec![((2, 64, 64), 7), ((4, 64, 64), 9)];
         s.tokens_per_s = 123.456;
         s.mean_batch = 3.25;
         s.max_batch_observed = 111;
@@ -243,7 +242,6 @@ mod tests {
             ("prefills", 107.0),
             ("prefill_chunks", 108.0),
             ("mixed_batches", 109.0),
-            ("fused_batches", 110.0),
             ("tokens_per_s", 123.456),
             ("mean_batch", 3.25),
             ("max_batch_observed", 111.0),
@@ -278,7 +276,7 @@ mod tests {
         // Paired histograms: `[[key, count], ...]` and `[[m,n,k], count]`.
         let dist = numbers(field_array(obj, "batch_distribution").unwrap());
         assert_eq!(dist, vec![2.0, 40.0, 4.0, 60.0]);
-        let shapes = numbers(field_array(obj, "fused_gemm_shapes").unwrap());
+        let shapes = numbers(field_array(obj, "gemm_shapes").unwrap());
         assert_eq!(shapes, vec![2.0, 64.0, 64.0, 7.0, 4.0, 64.0, 64.0, 9.0]);
 
         // Merged-then-rendered stays readable too (merge is the router's

@@ -23,7 +23,8 @@
 //! hidden`), and attention reads tokens through [`KvSeq::k_tok`] /
 //! [`KvSeq::v_tok`] without changing per-element arithmetic order — so
 //! paged decode is bit-identical to the contiguous baseline at every page
-//! size (asserted in `llm.rs` tests across serial, fused and int8 paths).
+//! size (asserted in `llm.rs` tests for single and batched lanes, f32 and
+//! int8).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, Weak};

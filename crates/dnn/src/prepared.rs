@@ -28,7 +28,12 @@
 //! new snapshot is installed, so a plan built before
 //! [`crate::tuning::install`] runs the tuned specs right after it. Values
 //! are unchanged either way — every legal spec produces each output block
-//! on exactly one thread with the same ascending-K reduction order.
+//! on exactly one thread with the same ascending-K reduction order (the
+//! int8 kernel folds the whole K into one exact i32 reduction), and each
+//! output column depends only on its own activation column. So column `j`
+//! of a width-`n` execute equals a width-1 execute of column `j`, bit for
+//! bit, with or without a tuning registry: the property batched decode
+//! rests on.
 //!
 //! [`SpmmPlan`] is the Block-SpMM twin for block-sparse weights: the BCSC
 //! operand is already a pack-once artifact (pruning produces it), so the
@@ -62,7 +67,7 @@ static PACK_EVENTS: AtomicU64 = AtomicU64::new(0);
 ///
 /// This is the observability hook for the prepared-op packing discipline:
 /// after a model is constructed (its plans built), running `step` /
-/// `step_batch` / `step_batch_fused` / `forward` must leave this counter
+/// `step_batch` / `forward_batch` / `forward` must leave this counter
 /// unchanged — no weight bytes are packed or transposed on the decode
 /// path. `tests/pack_discipline.rs` asserts exactly that.
 pub fn pack_events() -> u64 {

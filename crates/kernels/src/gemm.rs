@@ -280,6 +280,14 @@ impl<TA: Element, TB: Element, TC: Element> Gemm<TA, TB, TC> {
 /// (output channel); `B` is the per-step quantized activation in the plain
 /// blocked `B` layout with one scale per logical column (token). `C` stays
 /// f32, so downstream consumers (bias, activation, attention) are untouched.
+///
+/// The K loop always folds the whole reduction into one BRGEMM call: the
+/// i32 inner product is exact and is dequantized once per output element.
+/// A tuning's K blocking (`k_step`, `a_blocks`) is therefore normalized to
+/// the full K at build, while its M/N order, blocking and parallelization
+/// still apply. This fixes the reduction order per weight, not per spec or
+/// activation width, so output column `j` depends only on input column `j`
+/// — the column invariance batched decode relies on.
 pub struct GemmInt8 {
     shape: GemmShape,
     tuning: GemmTuning,
@@ -307,8 +315,10 @@ impl GemmInt8 {
                 shape.bk
             )));
         }
+        let kb = shape.kb();
+        let tuning = GemmTuning { k_step: kb, a_blocks: vec![kb; tuning.a_blocks.len()], ..tuning };
         let specs = vec![
-            LoopSpecs::blocked(0, shape.kb(), tuning.k_step, tuning.a_blocks.clone()),
+            LoopSpecs::blocked(0, kb, kb, tuning.a_blocks.clone()),
             LoopSpecs::blocked(0, shape.mb(), 1, tuning.b_blocks.clone()),
             LoopSpecs::blocked(0, shape.nb(), 1, tuning.c_blocks.clone()),
         ];
@@ -322,7 +332,7 @@ impl GemmInt8 {
         &self.shape
     }
 
-    /// Active tuning.
+    /// Active tuning, with its K blocking normalized to the full K.
     pub fn tuning(&self) -> &GemmTuning {
         &self.tuning
     }
@@ -652,20 +662,12 @@ mod tests {
         for (t, pool) in cases {
             let spec_str = t.spec.clone();
             let gemm = GemmInt8::new(sh, t, 2).unwrap();
+            assert_eq!(gemm.tuning().k_step, sh.kb(), "spec {spec_str}: K folds into one call");
             let mut c = BlockedMatrix::<f32>::c_layout(sh.m, sh.n, sh.bm, sh.bn).unwrap();
             gemm.execute(&qa, &rs, &qb, &cs, &mut c, pool).unwrap();
-            let got = c.unpack_to_colmajor();
-            for i in 0..got.len() {
-                // k_step < kb splits the reduction into f32 partial sums;
-                // each partial is exact, so only the final adds can round.
-                let tol = 1e-5 * c_ref[i].abs().max(1.0);
-                assert!(
-                    (got[i] - c_ref[i]).abs() <= tol,
-                    "spec {spec_str}: idx {i}: {} vs {}",
-                    got[i],
-                    c_ref[i]
-                );
-            }
+            // Every spec reduces the full K in i32 and dequantizes once:
+            // the same arithmetic as the reference, bit for bit.
+            assert_eq!(c.unpack_to_colmajor(), c_ref, "spec {spec_str}");
         }
     }
 

@@ -1,12 +1,10 @@
 //! The committed retune artifact (`TUNE_db.json`): machine-readable
 //! before/after evidence that the retune loop ran — per-shape measured
-//! winners next to the incumbent they replaced, the measured
-//! fused-vs-serial decisions per batch width, and before/after-retune
+//! winners next to the incumbent they replaced, and before/after-retune
 //! serving throughput rows. Lives alongside `BENCH_serve.json`
 //! (hand-rolled JSON, same idiom — no serialization crates here).
 
 use crate::retuner::RetuneReport;
-use pl_serve::BatchModeTable;
 
 /// File name of the committed retune artifact (resolve with
 /// `pl_bench::workspace_path`).
@@ -17,8 +15,8 @@ pub const TUNE_DB_ARTIFACT: &str = "TUNE_db.json";
 pub struct ServeRow {
     /// `"pre-retune"` or `"post-retune"`.
     pub phase: String,
-    /// Execution mode the row measured (`"serial"`, `"fused"`, or
-    /// `"decided"` for the post-retune policy-driven run).
+    /// What the row measured (`"batched"`: closed-loop decode through
+    /// the server's batched forward).
     pub mode: String,
     /// Batch width.
     pub batch: usize,
@@ -36,9 +34,6 @@ pub struct TuneArtifact {
     /// Per-shape outcomes: `(key, old_spec, old_gflops, new_spec,
     /// new_gflops, weight, changed)`.
     pub shapes: Vec<(String, String, f64, String, f64, u64, bool)>,
-    /// Mode decisions: `(batch, serial_steps_per_s, fused_steps_per_s,
-    /// fused)`.
-    pub decisions: Vec<(usize, f64, f64, bool)>,
     /// Before/after serving rows.
     pub serve: Vec<ServeRow>,
 }
@@ -60,13 +55,6 @@ impl TuneArtifact {
         }
     }
 
-    /// Folds a measured decision table in.
-    pub fn add_decisions(&mut self, table: &BatchModeTable) {
-        for &(batch, fused, serial_sps, fused_sps) in table.rows() {
-            self.decisions.push((batch, serial_sps, fused_sps, fused));
-        }
-    }
-
     /// Renders the document. Row order is insertion order — callers add
     /// shapes hottest-first, so regeneration on an unchanged workload
     /// diffs cleanly.
@@ -80,13 +68,6 @@ impl TuneArtifact {
                 "    {{\"kind\": \"shape\", \"key\": \"{key}\", \"old_spec\": \"{old_spec}\", \
                  \"old_gflops\": {old_gflops:.3}, \"new_spec\": \"{new_spec}\", \
                  \"new_gflops\": {new_gflops:.3}, \"weight\": {weight}, \"changed\": {changed}}}"
-            ));
-        }
-        for (batch, serial, fused_sps, fused) in &self.decisions {
-            rows.push(format!(
-                "    {{\"kind\": \"decision\", \"batch\": {batch}, \
-                 \"serial_steps_per_s\": {serial:.3}, \"fused_steps_per_s\": {fused_sps:.3}, \
-                 \"fused\": {fused}}}"
             ));
         }
         for r in &self.serve {
@@ -104,9 +85,9 @@ impl TuneArtifact {
 
 /// Minimal structural validation of a rendered artifact: header present,
 /// braces/brackets balanced, and at least the row kinds counted. Returns
-/// `(shape_rows, decision_rows, serve_rows)`, or `None` when the text is
-/// not a tune_db document — what the demo and CI assert after writing.
-pub fn parse_summary(json: &str) -> Option<(usize, usize, usize)> {
+/// `(shape_rows, serve_rows)`, or `None` when the text is not a tune_db
+/// document — what the demo and CI assert after writing.
+pub fn parse_summary(json: &str) -> Option<(usize, usize)> {
     if !json.contains("\"artifact\": \"tune_db\"") || !json.contains("\"fingerprint\"") {
         return None;
     }
@@ -128,7 +109,7 @@ pub fn parse_summary(json: &str) -> Option<(usize, usize, usize)> {
         return None;
     }
     let count = |kind: &str| json.matches(&format!("\"kind\": \"{kind}\"")).count();
-    Some((count("shape"), count("decision"), count("serve")))
+    Some((count("shape"), count("serve")))
 }
 
 #[cfg(test)]
@@ -147,17 +128,16 @@ mod tests {
             640,
             true,
         ));
-        a.add_decisions(&BatchModeTable::from_measurements(&[(8, 10100.0, 7800.0)]));
         a.serve.push(ServeRow {
             phase: "pre-retune".into(),
-            mode: "fused".into(),
+            mode: "batched".into(),
             batch: 8,
             shards: 1,
             steps_per_s: 7800.0,
         });
         a.serve.push(ServeRow {
             phase: "post-retune".into(),
-            mode: "decided".into(),
+            mode: "batched".into(),
             batch: 8,
             shards: 1,
             steps_per_s: 10050.0,
@@ -168,10 +148,9 @@ mod tests {
     #[test]
     fn renders_and_validates() {
         let json = sample().to_json();
-        assert_eq!(parse_summary(&json), Some((1, 1, 2)));
+        assert_eq!(parse_summary(&json), Some((1, 2)));
         assert!(json.contains("\"old_spec\": \"abc\""));
         assert!(json.contains("\"new_spec\": \"aBC\""));
-        assert!(json.contains("\"fused\": false"), "B=8 decision must be serial: {json}");
         assert!(json.contains("\"phase\": \"post-retune\""));
     }
 
@@ -186,6 +165,6 @@ mod tests {
     #[test]
     fn empty_artifact_still_renders_balanced_json() {
         let json = TuneArtifact { fingerprint: "fp".into(), ..Default::default() }.to_json();
-        assert_eq!(parse_summary(&json), Some((0, 0, 0)));
+        assert_eq!(parse_summary(&json), Some((0, 0)));
     }
 }

@@ -21,10 +21,10 @@
 //!    ([`save_measured_db`] / [`warm_or_load`]), so the next process
 //!    start on the same host skips straight to measured state.
 //!
-//! The same measured loop also learns *serve-level* knobs: the
-//! fused-vs-serial crossover per batch width ([`measure_mode_crossover`]
-//! → [`pl_serve::BatchModeTable`]) and the live prefill chunk size
-//! (`Server::set_prefill_chunk`).
+//! The same measured loop also learns a *serve-level* knob, the live
+//! prefill chunk size ([`tune_prefill_chunk`] →
+//! `Server::set_prefill_chunk`), and measures decode throughput before
+//! and after a cycle ([`measure_decode_steps_per_s`]).
 
 pub mod artifact;
 pub mod measure;
@@ -38,6 +38,6 @@ pub use persist::{
     PERSIST_VERSION,
 };
 pub use retuner::{
-    force_mode, measure_mode_crossover, tune_prefill_chunk, RetuneConfig, RetuneReport, Retuner,
+    measure_decode_steps_per_s, tune_prefill_chunk, RetuneConfig, RetuneReport, Retuner,
     ShapeOutcome,
 };

@@ -2,16 +2,16 @@
 //! rank candidates with the analytical model, **measure** the survivors
 //! on real packed buffers, and install winners through the registry
 //! epoch — zero serving downtime (prepared plans re-resolve their
-//! kernels on the next execution after an epoch advance; serial decode
-//! values are unchanged by spec choice, so in-flight streams stay
-//! bit-identical across the install).
+//! kernels on the next execution after an epoch advance; decode values
+//! are unchanged by spec choice, so in-flight streams stay bit-identical
+//! across the install).
 
 use crate::measure::GemmMeasurer;
 use pl_autotuner::{tune_gemm_ranked_measured, Constraints, DbEntry, GemmProblem, TuningDb};
 use pl_perfmodel::Platform;
 use pl_router::Router;
 use pl_runtime::ThreadPool;
-use pl_serve::{BatchModeTable, Server};
+use pl_serve::Server;
 use std::time::{Duration, Instant};
 
 /// Knobs bounding one retune cycle.
@@ -315,39 +315,6 @@ impl Retuner {
     }
 }
 
-/// Forces every batch width to one mode via a degenerate policy table —
-/// the lever [`measure_mode_crossover`] uses to measure both sides on a
-/// live server regardless of its `ServerConfig::fused` flag.
-pub fn force_mode(server: &Server, fused: bool) {
-    let (serial, fused_sps) = if fused { (0.0, 1.0) } else { (1.0, 0.0) };
-    server.install_mode_policy(BatchModeTable::from_measurements(&[(1, serial, fused_sps)]));
-}
-
-/// Measures the serial-vs-fused crossover on a live (manually pumped)
-/// server: for each batch width, drives `steps` closed-loop rounds of
-/// `width` concurrent sessions through the real submit/pump path in each
-/// mode and reports `(width, serial_steps_per_s, fused_steps_per_s)` —
-/// the rows [`BatchModeTable::from_measurements`] wants. Sessions are
-/// created and closed per measurement, so each needs `steps` tokens of
-/// KV capacity. The previously installed mode policy is **not**
-/// restored — install the measured table (or an empty one) after.
-pub fn measure_mode_crossover(
-    server: &Server,
-    widths: &[usize],
-    steps: usize,
-) -> Vec<(usize, f64, f64)> {
-    widths
-        .iter()
-        .map(|&w| {
-            force_mode(server, false);
-            let serial = drive_width(server, w, steps);
-            force_mode(server, true);
-            let fused = drive_width(server, w, steps);
-            (w, serial, fused)
-        })
-        .collect()
-}
-
 /// Measures the decode-under-prefill tradeoff for each candidate
 /// prefill chunk size on a live (manually pumped) server, and installs
 /// the winner via [`Server::set_prefill_chunk`]. For each candidate:
@@ -417,10 +384,13 @@ pub fn tune_prefill_chunk(
     (rows, best)
 }
 
-/// Drives `steps` closed-loop rounds of `width` sessions and returns
-/// steps/s. Panics on serving errors — measurement drivers run under
-/// controlled conditions (fresh sessions, capacity sized by the caller).
-fn drive_width(server: &Server, width: usize, steps: usize) -> f64 {
+/// Measures decode throughput on a live (manually pumped) server: drives
+/// `steps` closed-loop rounds of `width` fresh sessions through the real
+/// submit/pump path and returns steps/s — the before/after instrument of
+/// a retune cycle. Sessions are closed afterwards, so each needs `steps`
+/// tokens of KV capacity. Panics on serving errors — measurement drivers
+/// run under controlled conditions.
+pub fn measure_decode_steps_per_s(server: &Server, width: usize, steps: usize) -> f64 {
     let hidden = server.model().config().hidden;
     let sessions: Vec<_> =
         (0..width).map(|_| server.create_session(0).expect("measurement session")).collect();

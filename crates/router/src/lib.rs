@@ -9,8 +9,8 @@
 //!
 //! * **session affinity** ([`router`]): a session is placed on exactly one
 //!   shard at creation and every subsequent prefill/step routes there, so
-//!   its KV cache never moves and serial-mode decode stays bit-identical
-//!   to a single-server run of the same stream;
+//!   its KV cache never moves and decode stays bit-identical to a
+//!   single-server run of the same stream;
 //! * **least-loaded placement** ([`placement`]): new sessions go to the
 //!   shard with the smallest live-session + queue-depth load, draining
 //!   shards excluded;

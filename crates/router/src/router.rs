@@ -158,16 +158,6 @@ impl Router {
         adopted
     }
 
-    /// Installs a measured fused-vs-serial decision table on **every**
-    /// shard ([`pl_serve::Server::install_mode_policy`]): the table was
-    /// measured on one shard but the fleet runs the same model on the
-    /// same host, so the decision transfers.
-    pub fn install_mode_policy(&self, table: &pl_serve::BatchModeTable) {
-        for shard in &self.shards {
-            shard.server().install_mode_policy(table.clone());
-        }
-    }
-
     /// Current placement loads (the inputs to [`placement_order`]),
     /// health included: each shard's server evaluates its own SLO burn
     /// and stall watchdog ([`pl_serve::Server::health`]); a draining
@@ -379,18 +369,27 @@ impl Router {
     }
 
     /// The fleet-wide trace summary since trace time `since_ns`
-    /// ([`pl_trace::now_ns`]): every shard's pump and pool threads record
-    /// into the process recorder on their own lanes, and this folds one
-    /// per-lane [`TraceSummary`] at a time through
-    /// [`TraceSummary::merge`] — the same summed-buckets aggregation
-    /// discipline as [`stats_agg::aggregate`], so fleet quantiles come
-    /// from merged histograms, never from averaged per-lane quantiles.
-    /// Returns an empty summary when tracing was off.
+    /// ([`pl_trace::now_ns`]): the threads that executed the shards'
+    /// batches record into the process recorder on their own lanes
+    /// ([`pl_serve::Server::trace_lanes`]), and this folds one per-lane
+    /// [`TraceSummary`] at a time through [`TraceSummary::merge`] — the
+    /// same summed-buckets aggregation discipline as
+    /// [`stats_agg::aggregate`], so fleet quantiles come from merged
+    /// histograms, never from averaged per-lane quantiles. Lanes that did
+    /// no work for this router are excluded, so concurrent traffic of
+    /// another router in the process never leaks in. Returns an empty
+    /// summary when tracing was off.
     pub fn trace_summary(&self, since_ns: u64) -> TraceSummary {
-        let events = pl_trace::snapshot_since(since_ns);
-        let mut by_lane: BTreeMap<u32, Vec<pl_trace::Event>> = BTreeMap::new();
-        for e in events {
-            by_lane.entry(e.lane).or_default().push(e);
+        let mut by_lane: BTreeMap<u32, Vec<pl_trace::Event>> = self
+            .shards
+            .iter()
+            .flat_map(|s| s.server().trace_lanes())
+            .map(|lane| (lane, Vec::new()))
+            .collect();
+        for e in pl_trace::snapshot_since(since_ns) {
+            if let Some(evs) = by_lane.get_mut(&e.lane) {
+                evs.push(e);
+            }
         }
         let mut agg = TraceSummary::empty();
         for evs in by_lane.values() {

@@ -14,31 +14,20 @@
 //!   ([`BoundedQueue`], Vyukov-style atomic tickets in the spirit of
 //!   `pl_runtime::DynamicQueue`) plus round-robin batch formation.
 //! * [`Server`] — admission control (session caps, bounded rings =
-//!   backpressure), the batch execution path (one
-//!   `ThreadPool::parallel_drain` region per batch, PAR-MODE dynamic
-//!   scheduling over sessions), and the blocking client API.
+//!   backpressure), the batch execution path, and the blocking client API.
 //! * [`ServerStats`] — lock-free counters and histograms: throughput,
-//!   p50/p99 step latency, batch-size distribution.
+//!   p50/p99 step latency, batch-size distribution, and the GEMM shapes
+//!   batches actually executed.
 //!
-//! Decode batches execute in one of two modes:
-//!
-//! * **serial** (default): each session's step runs serially inside the
-//!   region with the same per-element operation order as it would alone
-//!   (every GEMM output block is produced by exactly one thread with a
-//!   fixed reduction order) — **bit-identical** to unbatched decode,
-//!   which the integration tests and `examples/serve_llm.rs` assert
-//!   exactly.
-//! * **fused** (`ServerConfig::fused`): the B sessions' token vectors are
-//!   gathered into one `hidden x B` activation matrix and every layer's
-//!   projections run as single `hidden x B` GEMMs
-//!   ([`pl_dnn::DecoderModel::step_batch_fused`]) — the
-//!   arithmetic-intensity lever batched serving exists for. Outputs agree
-//!   with serial decode to floating-point reassociation tolerance
-//!   (≤ 1e-5 relative), and [`ServerStats`] records the fused GEMM shapes
-//!   actually executed.
+//! Every batch — decode lanes plus at most one prefill chunk — executes as
+//! one [`pl_dnn::DecoderModel::forward_batch`]: each layer's projections
+//! run as single GEMMs over all of the batch's columns (every weight
+//! element loaded once serves the whole batch), and attention runs per
+//! session inside one parallel region. Each lane's output is
+//! **bit-identical** to running that session alone, which the integration
+//! tests and `examples/serve_llm.rs` assert exactly.
 
 pub mod batcher;
-pub mod policy;
 pub mod prefill;
 pub mod queue;
 pub mod server;
@@ -46,7 +35,6 @@ pub mod session;
 pub mod stats;
 
 pub use batcher::{ChunkItem, DynamicBatcher, StepRequest, WorkItem};
-pub use policy::BatchModeTable;
 pub use prefill::PrefillJob;
 pub use queue::BoundedQueue;
 pub use server::{Server, ServerConfig, SessionExport};

@@ -34,12 +34,11 @@
 //! re-inserted the session as an untracked zombie.
 
 use crate::batcher::{ChunkItem, DynamicBatcher, StepRequest, WorkItem};
-use crate::policy::BatchModeTable;
 use crate::prefill::PrefillJob;
 use crate::session::{Session, SessionId, TenantId};
 use crate::stats::ServerStats;
 use crate::{ServeError, StepResult};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use pl_autotuner::{batch_ladder, warm_gemm_db, warm_spmm_db, Constraints, GemmProblem, TuningDb};
 use pl_dnn::{
     DecoderModel, DecoderState, KvPagePool, KvSnapshot, Precision, PrefixCache, DEFAULT_PAGE_TOKENS,
@@ -50,7 +49,7 @@ use pl_metrics::{
 };
 use pl_perfmodel::Platform;
 use pl_runtime::ThreadPool;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -79,24 +78,15 @@ pub struct ServerConfig {
     pub coalesce_wait: Duration,
     /// Batcher sleep when no work is pending.
     pub idle_poll: Duration,
-    /// Execute decode batches through the **fused** cross-session path
-    /// ([`DecoderModel::step_batch_fused`]): one `hidden x B` GEMM per
-    /// layer projection instead of B `hidden x 1` GEMVs. Off by default —
-    /// the serial path is bit-identical to unbatched decode, the fused
-    /// path trades that for arithmetic intensity (outputs agree to
-    /// floating-point reassociation tolerance; see `crates/serve/README.md`
-    /// for the accuracy contract).
-    pub fused: bool,
     /// Numeric precision the served model's weight plans were built at.
-    /// Defaults to [`Precision::F32`], which keeps every existing
-    /// guarantee (serial decode bit-identical to unbatched decode).
-    /// [`Precision::Int8`] serves a quantized model: ~4x less weight
-    /// traffic per decode step, outputs within a bounded relative error of
-    /// the f32 model (see `crates/serve/README.md`, "Precision"). The
-    /// model handed to [`Server::new`] must have been built at this
-    /// precision ([`DecoderModel::new_with_precision`]) — the constructor
-    /// asserts it, so a config/model mismatch fails at startup, not with
-    /// silently wrong tuning keys. Tuning-DB keys, kernel caches and trace
+    /// Defaults to [`Precision::F32`]. [`Precision::Int8`] serves a
+    /// quantized model: ~4x less weight traffic per decode step, outputs
+    /// within a bounded relative error of the f32 model (see
+    /// `crates/serve/README.md`, "Precision"). The model handed to
+    /// [`Server::new`] must have been built at this precision
+    /// ([`DecoderModel::new_with_precision`]) — the constructor asserts it,
+    /// so a config/model mismatch fails at startup, not with silently
+    /// wrong tuning keys. Tuning-DB keys, kernel caches and trace
     /// spans are all precision-scoped through the plans themselves.
     pub precision: Precision,
     /// SLO target for decode step latency (µs): the p99 objective the
@@ -144,7 +134,6 @@ impl Default for ServerConfig {
             prefill_chunk: 16,
             coalesce_wait: Duration::from_micros(200),
             idle_poll: Duration::from_millis(1),
-            fused: false,
             precision: Precision::F32,
             slo_p99_us: 50_000,
             slo_window_s: 60,
@@ -240,12 +229,6 @@ struct ServerInner {
     /// the blocking wrappers pump on the calling thread when it is not.
     running: AtomicBool,
     tuning: Mutex<TuningDb>,
-    /// The measured per-batch-width fused-vs-serial decision table
-    /// ([`crate::policy::BatchModeTable`]), installed by a retune cycle.
-    /// `None` (the default) falls back to the static
-    /// [`ServerConfig::fused`] flag — existing behavior and guarantees
-    /// are untouched until a measurement says otherwise.
-    mode_policy: RwLock<Option<BatchModeTable>>,
     /// Live prefill-chunk bound in tokens — initialized from
     /// [`ServerConfig::prefill_chunk`], adjustable at runtime
     /// ([`Server::set_prefill_chunk`]) so a retune cycle can shrink
@@ -282,6 +265,9 @@ struct ServerInner {
     prefix: PrefixCache,
     /// Sessions imported from another shard ([`Server::import_session`]).
     migrations: Counter,
+    /// Recorder lanes of the threads that executed batches while tracing
+    /// was on ([`Server::trace_lanes`]).
+    trace_lanes: Mutex<BTreeSet<u32>>,
 }
 
 impl ServerInner {
@@ -387,8 +373,8 @@ impl Server {
             kv_pool,
             prefix: PrefixCache::new(PREFIX_CACHE_ENTRIES),
             migrations,
+            trace_lanes: Mutex::new(BTreeSet::new()),
             stats: ServerStats::new(cfg.max_batch),
-            mode_policy: RwLock::new(None),
             prefill_chunk: AtomicUsize::new(cfg.prefill_chunk.max(1)),
             slo: SloWindow::new(cfg.slo_p99_us, cfg.slo_window_s),
             health: HealthTracker::default(),
@@ -413,6 +399,16 @@ impl Server {
     /// The metrics surface.
     pub fn stats(&self) -> &ServerStats {
         &self.inner.stats
+    }
+
+    /// Recorder lanes of the threads that executed this server's batches
+    /// while tracing was on: every batch-, decode- and GEMM-level span of
+    /// its traffic lands on one of them, so a consumer filtering a
+    /// process-wide [`pl_trace::snapshot`] to these lanes sees this
+    /// server's work and nothing another server (or test) recorded
+    /// concurrently.
+    pub fn trace_lanes(&self) -> Vec<u32> {
+        self.inner.trace_lanes.lock().iter().copied().collect()
     }
 
     /// The labeled metrics registry — per-tenant counters and latency
@@ -522,24 +518,33 @@ impl Server {
         self.inner.model.plan_problems(n, out);
     }
 
-    /// Every activation width the batcher can produce: decode widths
-    /// `1..=max_batch` plus the prefill prompt-width ladder.
+    /// Every activation width to warm plan kernels at, so no kernel is
+    /// built on the serving path: `1..=max_batch` decode lanes, one full
+    /// prefill chunk plus up to `max_batch - 1` decode lanes, and the
+    /// prefill prompt-width ladder.
     fn plan_widths(&self) -> Vec<usize> {
-        let mut widths: Vec<usize> = (1..=self.inner.cfg.max_batch.max(1)).collect();
-        for t in batch_ladder(self.inner.cfg.kv_capacity) {
-            if !widths.contains(&t) {
-                widths.push(t);
+        let max_batch = self.inner.cfg.max_batch.max(1);
+        let chunk = self.prefill_chunk().next_power_of_two();
+        let mut widths: Vec<usize> = (1..=max_batch).collect();
+        for w in (chunk..chunk + max_batch).chain(batch_ladder(self.inner.cfg.kv_capacity)) {
+            if !widths.contains(&w) {
+                widths.push(w);
             }
         }
         widths
     }
 
-    /// GEMM problems the batcher's decode steps can run: for every
-    /// transformer block matmul, one instance per batch width the fused
-    /// path can see — **every** `B ∈ 1..=max_batch`, since the batcher
-    /// hands the fused path whatever ragged width was pending and the
-    /// tuning-DB lookup is exact-match. Serial batched decode only ever
-    /// runs the `B = 1` entries; the fused path hits the wider ones.
+    /// GEMM problems decode batches run: for every transformer block
+    /// matmul, one instance per batch width — **every**
+    /// `B ∈ 1..=max_batch`, since the batcher hands the forward whatever
+    /// ragged width was pending and the tuning-DB lookup is exact-match
+    /// first. A batch that carries a prefill chunk runs wider (the chunk's
+    /// tokens plus its decode lanes); its lookup misses exactly and rounds
+    /// up to the next power of two, a rung [`Server::prefill_gemm_problems`]
+    /// warms. Searching those widths exactly would multiply the start-up
+    /// search cost for no change in values; their *kernels* are still
+    /// pre-built ([`Server::warm_tuning`] warms every width a batch can
+    /// form).
     pub fn decode_gemm_problems(&self) -> Vec<GemmProblem> {
         let mut out = Vec::new();
         for b in 1..=self.inner.cfg.max_batch.max(1) {
@@ -634,21 +639,6 @@ impl Server {
         db.len()
     }
 
-    /// Installs a measured per-batch-width fused-vs-serial decision table
-    /// (see [`BatchModeTable`]). Takes effect on the **next** batch —
-    /// batches already executing finish under the old decision, so there
-    /// is no downtime and no torn batch. Pass an empty table to revert to
-    /// the static [`ServerConfig::fused`] flag.
-    pub fn install_mode_policy(&self, table: BatchModeTable) {
-        let mut slot = self.inner.mode_policy.write();
-        *slot = if table.is_empty() { None } else { Some(table) };
-    }
-
-    /// The installed measured mode policy, if any.
-    pub fn mode_policy(&self) -> Option<BatchModeTable> {
-        self.inner.mode_policy.read().clone()
-    }
-
     /// Adjusts the live prefill-chunk bound (tokens, clamped to ≥ 1).
     /// Prefills submitted after this call chunk at the new bound;
     /// in-flight jobs keep the chunking they were admitted with.
@@ -663,32 +653,21 @@ impl Server {
 
     /// The GEMM problems that dominated traffic so far, hottest first —
     /// the retune loop's harvest hook. Weights come from
-    /// [`ServerStats::fused_gemm_shapes`] (the per-shape execution counts
-    /// the fused path records, covering every ragged width that actually
-    /// ran); a server that only ever ran the serial path has no shape
-    /// histogram, so its decode traffic is attributed to the width-1
-    /// problems weighted by completed steps (what serial decode executes
-    /// per lane). Shapes are matched back against the model's own
-    /// prepared-plan problems ([`DecoderModel::plan_problems`]), so every
-    /// returned problem carries the **exact blocking** its kernel runs
-    /// at, precision included — measurable as-is.
+    /// [`ServerStats::gemm_shapes`] (the per-shape execution counts every
+    /// batch records, covering every ragged width that actually ran).
+    /// Shapes are matched back against the model's own prepared-plan
+    /// problems ([`DecoderModel::plan_problems`]) at every warmed width,
+    /// so every returned problem carries the **exact blocking** its kernel
+    /// runs at, precision included — measurable as-is.
     pub fn hot_gemm_problems(&self) -> Vec<(GemmProblem, u64)> {
-        let mut catalog = self.decode_gemm_problems();
-        catalog.extend(self.prefill_gemm_problems());
+        let mut catalog = Vec::new();
+        for n in self.plan_widths() {
+            self.layer_gemm_problems(n, &mut catalog);
+        }
         let mut out: Vec<(GemmProblem, u64)> = Vec::new();
-        let shapes = self.inner.stats.fused_gemm_shapes();
-        if shapes.is_empty() {
-            let steps = self.inner.stats.completed.load(Ordering::Relaxed);
-            if steps > 0 {
-                for p in catalog.iter().filter(|p| p.n == 1) {
-                    out.push((*p, steps));
-                }
-            }
-        } else {
-            for ((m, n, k), count) in shapes {
-                if let Some(p) = catalog.iter().find(|p| p.m == m && p.n == n && p.k == k) {
-                    out.push((*p, count));
-                }
+        for ((m, n, k), count) in self.inner.stats.gemm_shapes() {
+            if let Some(p) = catalog.iter().find(|p| p.m == m && p.n == n && p.k == k) {
+                out.push((*p, count));
             }
         }
         out.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
@@ -1212,80 +1191,34 @@ impl Server {
         let size = ready.len();
         let decode_lanes = size - usize::from(has_chunk);
 
-        // Phase 2 — execute, no lock held. The fused-vs-serial decision
-        // comes from the installed measured policy when one exists (the
-        // retune loop's per-batch-width table), else the static config
-        // flag — so a server that never retunes behaves exactly as
-        // before.
-        let fused = inner
-            .mode_policy
-            .read()
-            .as_ref()
-            .and_then(|t| t.fused_for(decode_lanes.max(1)))
-            .unwrap_or(inner.cfg.fused);
+        // Phase 2 — execute, no lock held: one batched forward over the
+        // decode lanes and the chunk, every lane bit-identical to running
+        // it alone.
+        let items: Vec<(&mut DecoderState, &[f32], usize)> = ready
+            .iter_mut()
+            .map(|r| match r {
+                ReadyItem::Decode(req, sess) => (&mut sess.state, req.x.as_slice(), 1),
+                ReadyItem::Chunk(c, sess) => {
+                    (&mut sess.state, c.job.chunk_input(c.chunk), c.job.chunk_tokens(c.chunk))
+                }
+            })
+            .collect();
+        let width: usize = items.iter().map(|i| i.2).sum();
+        if pl_trace::enabled() {
+            inner.trace_lanes.lock().insert(pl_trace::current_lane());
+        }
         let execute_span =
-            pl_trace::span("batch.execute", [size as u64, decode_lanes as u64, u64::from(fused)]);
-        let outputs: Vec<Vec<f32>> = if fused {
-            // Fused decode lanes share one `hidden x B` GEMM per layer
-            // projection; the prefill chunk (if any) runs as its own
-            // forward in the same pump iteration.
-            let mut decode_idx = Vec::with_capacity(decode_lanes);
-            let mut decode_items: Vec<(&mut DecoderState, &[f32])> =
-                Vec::with_capacity(decode_lanes);
-            let mut chunk_idx = None;
-            for (i, r) in ready.iter_mut().enumerate() {
-                match r {
-                    ReadyItem::Decode(req, sess) => {
-                        decode_idx.push(i);
-                        decode_items.push((&mut sess.state, req.x.as_slice()));
-                    }
-                    ReadyItem::Chunk(..) => chunk_idx = Some(i),
-                }
-            }
-            let mut outputs = vec![Vec::new(); size];
-            if !decode_items.is_empty() {
-                let decode_out = inner.model.step_batch_fused(decode_items, &inner.pool);
-                let cfg = inner.model.config();
-                let (h, f, l) = (cfg.hidden, cfg.ffn, cfg.layers as u64);
-                // Per layer: 4 h x h GEMMs (QKV + output) and one of each
-                // FFN shape — the actual GEMM executions this batch fused.
-                inner.stats.record_fused_batch(&[
-                    ((h, decode_lanes, h), 4 * l),
-                    ((f, decode_lanes, h), l),
-                    ((h, decode_lanes, f), l),
-                ]);
-                for (i, y) in decode_idx.into_iter().zip(decode_out) {
-                    outputs[i] = y;
-                }
-            }
-            if let Some(i) = chunk_idx {
-                let ReadyItem::Chunk(c, sess) = &mut ready[i] else { unreachable!() };
-                let _chunk_span = pl_trace::span(
-                    "prefill.chunk",
-                    [c.chunk as u64, c.job.chunk_tokens(c.chunk) as u64, 1],
-                );
-                outputs[i] = inner.model.forward(
-                    &mut sess.state,
-                    c.job.chunk_input(c.chunk),
-                    c.job.chunk_tokens(c.chunk),
-                    &inner.pool,
-                );
-            }
-            outputs
-        } else {
-            // Serial: one mixed region over decode lanes + the chunk; each
-            // item's forward is bit-identical to running it alone.
-            let items: Vec<(&mut DecoderState, &[f32], usize)> = ready
-                .iter_mut()
-                .map(|r| match r {
-                    ReadyItem::Decode(req, sess) => (&mut sess.state, req.x.as_slice(), 1),
-                    ReadyItem::Chunk(c, sess) => {
-                        (&mut sess.state, c.job.chunk_input(c.chunk), c.job.chunk_tokens(c.chunk))
-                    }
-                })
-                .collect();
-            inner.model.forward_batch(items, &inner.pool)
-        };
+            pl_trace::span("batch.execute", [size as u64, decode_lanes as u64, width as u64]);
+        let outputs = inner.model.forward_batch(items, &inner.pool);
+        let cfg = inner.model.config();
+        let (h, f, l) = (cfg.hidden, cfg.ffn, cfg.layers as u64);
+        // Per layer: 4 h x h GEMMs (QKV + output) and one of each FFN
+        // shape, all at the batch's column count.
+        inner.stats.record_gemm_shapes(&[
+            ((h, width, h), 4 * l),
+            ((f, width, h), l),
+            ((h, width, f), l),
+        ]);
         drop(execute_span);
 
         // Phase 3 — check-in and delivery.
@@ -1525,7 +1458,7 @@ mod tests {
         // Serve a prefill + decode steps at both precisions; the int8
         // outputs must track the f32 ones within the quantization budget
         // (bound derivation in crates/serve/README.md, "Precision"), and
-        // the serial int8 path must stay bit-identical to an unbatched
+        // served int8 decode must stay bit-identical to an unbatched
         // forward over the same int8 model.
         let f32_server =
             tiny_server(ServerConfig { coalesce_wait: Duration::ZERO, ..Default::default() });
@@ -1564,12 +1497,12 @@ mod tests {
             let rel = (a - b).abs() / b.abs().max(1.0);
             assert!(rel < 0.25, "step idx {i}: i8 {a} vs f32 {b}");
         }
-        // Serial int8 serving is bit-identical to unbatched int8 decode.
+        // Int8 serving is bit-identical to unbatched int8 decode.
         let mut st = i8_model.new_state(8);
         let pool = ThreadPool::new(2);
         let _ = i8_model.forward(&mut st, &prompt, 3, &pool);
         let want = i8_model.forward(&mut st, &x, 1, &pool);
-        assert_eq!(sq, want, "serial int8 serving must be bit-identical to unbatched");
+        assert_eq!(sq, want, "int8 serving must be bit-identical to unbatched");
     }
 
     #[test]
@@ -1623,7 +1556,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_chunk_prefill_matches_whole_prompt_within_tolerance() {
+    fn multi_chunk_prefill_matches_whole_prompt_bitwise() {
         let server =
             tiny_server(ServerConfig { prefill_chunk: 4, kv_capacity: 32, ..Default::default() });
         let hidden = server.model().config().hidden;
@@ -1633,16 +1566,15 @@ mod tests {
         let y = server.prefill(id, &prompt, tokens).unwrap();
         assert_eq!(y.len(), hidden * tokens);
         assert_eq!(server.stats().prefill_chunks.load(Ordering::Relaxed), 3);
-        // Chunk-by-chunk baseline is bitwise (same forwards, same widths)…
+        // Chunking never changes a column's arithmetic: the served chunks
+        // equal both a chunked forward and the whole-prompt forward.
         let pool = ThreadPool::new(2);
         let mut st = server.model().new_state(32);
         let chunked = server.model().forward_chunked(&mut st, &prompt, tokens, 4, &pool);
         assert_eq!(y, chunked, "served chunks must equal a chunked forward bitwise");
-        // …and the whole-prompt forward agrees within tolerance.
         let mut st = server.model().new_state(32);
         let whole = server.model().forward(&mut st, &prompt, tokens, &pool);
-        let err = pl_tensor::max_rel_err(&y, &whole);
-        assert!(err <= 1e-5, "rel err {err}");
+        assert_eq!(y, whole, "served chunks must equal the whole-prompt forward bitwise");
     }
 
     #[test]
@@ -2106,9 +2038,13 @@ mod tests {
                 let server = Arc::clone(&server);
                 scope.spawn(move || server.pump())
             };
-            // Wait until the chunk has been collected (ring empty) and is
-            // executing (still in flight) — the checked-out window.
-            while !(server.pending() == 0 && server.in_flight() > 0) {
+            // Wait until the chunk's batch has checked the session out —
+            // the window. (An empty ring alone is not enough: between
+            // collect and checkout the session is still live, and a close
+            // there legitimately frees it before the batch runs.)
+            let checked_out =
+                || matches!(server.inner.sessions.lock().get(&id), Some(Slot::CheckedOut { .. }));
+            while !checked_out() && server.in_flight() > 0 {
                 std::hint::spin_loop();
             }
             // Close mid-window: must succeed (waiting for the window),
@@ -2233,8 +2169,8 @@ mod tests {
         let server = tiny_server(ServerConfig { kv_capacity: 16, ..Default::default() });
         let decode = server.decode_gemm_problems();
         // Every width 1..=max_batch (8) x the three per-layer GEMMs: the
-        // batcher can hand the fused path any ragged B and the DB lookup
-        // is exact-match, so all of them must be warmed.
+        // batcher can hand the forward any ragged B and the DB lookup is
+        // exact-match, so all of them must be warmed.
         assert_eq!(decode.len(), 24);
         for b in 1..=8 {
             assert!(decode.iter().any(|p| p.n == b), "decode width {b} warmed");
@@ -2265,117 +2201,58 @@ mod tests {
     }
 
     #[test]
-    fn fused_pump_matches_serial_within_tolerance_and_records_shapes() {
-        let mk = |fused| {
-            tiny_server(ServerConfig { fused, coalesce_wait: Duration::ZERO, ..Default::default() })
-        };
-        let fused_server = mk(true);
-        let serial_server = mk(false);
-        let hidden = fused_server.model().config().hidden;
-        let (h, f) = (hidden, fused_server.model().config().ffn);
-        let n = 4;
-        let xs: Vec<Vec<f32>> = (0..n).map(|s| token(700 + s as u64, hidden)).collect();
-
-        let run = |server: &Server| -> Vec<Vec<f32>> {
-            let ids: Vec<SessionId> = (0..n).map(|_| server.create_session(0).unwrap()).collect();
-            let rxs: Vec<_> =
-                ids.iter().zip(&xs).map(|(&id, x)| server.submit_step(id, x).unwrap()).collect();
-            assert_eq!(server.pump(), n);
-            rxs.into_iter().map(|rx| rx.recv().unwrap().unwrap()).collect()
-        };
-        let got_fused = run(&fused_server);
-        let got_serial = run(&serial_server);
-        for (s, (a, b)) in got_fused.iter().zip(&got_serial).enumerate() {
-            let err = pl_tensor::max_rel_err(a, b);
-            assert!(err <= 1e-5, "session {s}: rel err {err}");
-        }
-        let snap = fused_server.stats().snapshot();
-        assert_eq!(snap.fused_batches, 1);
-        let layers = fused_server.model().config().layers as u64;
-        assert_eq!(
-            snap.fused_gemm_shapes,
-            vec![((h, n, h), 4 * layers), ((h, n, f), layers), ((f, n, h), layers)],
-            "the hidden x B GEMM executions are observable"
-        );
-        assert_eq!(serial_server.stats().snapshot().fused_batches, 0);
-    }
-
-    #[test]
-    fn fused_mixed_batch_runs_decode_lanes_fused_and_chunk_serially() {
-        // A fused-mode batch holding decode lanes *and* a prefill chunk:
-        // the lanes fuse (recorded at the lane count, not the batch
-        // size), the chunk executes as its own forward, and both land.
+    fn mixed_pump_matches_each_session_alone_bitwise_and_records_shapes() {
+        // Ragged decode lanes (contexts 1..=3) and the first chunk of a
+        // two-chunk prefill in one batch, over 2-token KV pages: every
+        // reply equals that session run alone through `forward`, bit for
+        // bit, and the GEMM histogram records the batch's column count.
         let server = tiny_server(ServerConfig {
-            fused: true,
             prefill_chunk: 4,
             kv_capacity: 32,
+            kv_page_tokens: 2,
             coalesce_wait: Duration::ZERO,
             ..Default::default()
         });
-        let hidden = server.model().config().hidden;
-        let decode_ids: Vec<SessionId> =
-            (0..3).map(|_| server.create_session(0).unwrap()).collect();
+        let model = Arc::clone(server.model());
+        let (h, f) = (model.config().hidden, model.config().ffn);
+        let pool = ThreadPool::new(2);
+        let mut sessions = Vec::new();
+        for s in 0..3 {
+            let id = server.create_session(0).unwrap();
+            let prompt = token(20 + s as u64, h * (s + 1));
+            server.prefill(id, &prompt, s + 1).unwrap();
+            let mut st = model.new_state(32);
+            model.forward(&mut st, &prompt, s + 1, &pool);
+            sessions.push((id, st));
+        }
+        let mut alone = Vec::new();
+        let mut rxs = Vec::new();
+        for (s, (id, st)) in sessions.iter_mut().enumerate() {
+            let x = token(30 + s as u64, h);
+            rxs.push(server.submit_step(*id, &x).unwrap());
+            alone.push(model.forward(st, &x, 1, &pool));
+        }
         let prefill_id = server.create_session(0).unwrap();
-        let rxs: Vec<_> = decode_ids
-            .iter()
-            .enumerate()
-            .map(|(s, &id)| server.submit_step(id, &token(30 + s as u64, hidden)).unwrap())
-            .collect();
-        let prompt = token(40, hidden * 8);
+        let prompt = token(40, h * 8);
         let prx = server.submit_prefill(prefill_id, &prompt, 8).unwrap();
         assert_eq!(server.pump(), 4, "3 decode lanes + 1 chunk in one batch");
         assert_eq!(server.pump(), 1, "continuation chunk");
-        for rx in rxs {
-            rx.recv().unwrap().unwrap();
+        for (s, (rx, want)) in rxs.into_iter().zip(&alone).enumerate() {
+            assert_eq!(&rx.recv().unwrap().unwrap(), want, "session {s}");
         }
         let y = prx.recv().unwrap().unwrap();
+        assert_eq!(y, model.forward(&mut model.new_state(32), &prompt, 8, &pool));
         let snap = server.stats().snapshot();
         assert_eq!(snap.mixed_batches, 1);
-        assert_eq!(snap.prefill_chunks, 2);
-        assert_eq!(snap.fused_batches, 1, "only the decode-bearing batch fuses");
-        assert!(
-            snap.fused_gemm_shapes.iter().all(|&((_, n, _), _)| n == 3),
-            "fused width is the decode-lane count, not the batch size: {:?}",
-            snap.fused_gemm_shapes
+        assert_eq!(snap.prefill_chunks, 5, "3 one-chunk prompts + 2 chunks");
+        // The mixed batch ran 3 lanes + 4 chunk tokens as width-7 GEMMs.
+        let layers = model.config().layers as u64;
+        let mixed: Vec<_> = snap.gemm_shapes.iter().filter(|&&((_, n, _), _)| n == 7).collect();
+        assert_eq!(
+            mixed,
+            vec![&((h, 7, h), 4 * layers), &((h, 7, f), layers), &((f, 7, h), layers)],
+            "the batch's GEMM executions are observable at its column count"
         );
-        // The chunk path is the serial forward even in fused mode.
-        let pool = ThreadPool::new(2);
-        let mut st = server.model().new_state(32);
-        assert_eq!(y, server.model().forward_chunked(&mut st, &prompt, 8, 4, &pool));
-    }
-
-    #[test]
-    fn mode_policy_overrides_configured_mode_per_width() {
-        // Config says serial, but a measured table that prefers fused at
-        // width >= 1 must flip the batch to the fused path — and removing
-        // the policy (empty table) must fall back to the config again.
-        let server =
-            tiny_server(ServerConfig { coalesce_wait: Duration::ZERO, ..Default::default() });
-        assert!(server.mode_policy().is_none());
-        let hidden = server.model().config().hidden;
-        let run_batch_of = |n: usize| {
-            let ids: Vec<SessionId> = (0..n).map(|_| server.create_session(0).unwrap()).collect();
-            let rxs: Vec<_> = ids
-                .iter()
-                .enumerate()
-                .map(|(s, &id)| server.submit_step(id, &token(900 + s as u64, hidden)).unwrap())
-                .collect();
-            assert_eq!(server.pump(), n);
-            for rx in rxs {
-                rx.recv().unwrap().unwrap();
-            }
-            for id in ids {
-                server.close_session(id).unwrap();
-            }
-        };
-        server.install_mode_policy(BatchModeTable::from_measurements(&[(1, 0.0, 1.0)]));
-        assert!(server.mode_policy().is_some());
-        run_batch_of(4);
-        assert_eq!(server.stats().snapshot().fused_batches, 1, "policy must force fused");
-        server.install_mode_policy(BatchModeTable::from_measurements(&[]));
-        assert!(server.mode_policy().is_none(), "empty table reverts to config");
-        run_batch_of(4);
-        assert_eq!(server.stats().snapshot().fused_batches, 1, "config mode is serial again");
     }
 
     #[test]
@@ -2401,11 +2278,13 @@ mod tests {
     }
 
     #[test]
-    fn hot_gemm_problems_weights_serial_decode_by_completed_steps() {
+    fn hot_gemm_problems_harvest_the_shape_histogram() {
         let server =
             tiny_server(ServerConfig { coalesce_wait: Duration::ZERO, ..Default::default() });
         assert!(server.hot_gemm_problems().is_empty(), "no traffic, no hot shapes");
         let hidden = server.model().config().hidden;
+        let layers = server.model().config().layers as u64;
+        // Three lone steps: width-1 GEMMs, weighted by executions.
         let id = server.create_session(0).unwrap();
         for s in 0..3 {
             let rx = server.submit_step(id, &token(40 + s, hidden)).unwrap();
@@ -2413,21 +2292,9 @@ mod tests {
             rx.recv().unwrap().unwrap();
         }
         let hot = server.hot_gemm_problems();
-        assert!(!hot.is_empty());
-        for (p, w) in &hot {
-            assert_eq!(p.n, 1, "serial decode traffic is width-1: {p:?}");
-            assert_eq!(*w, 3, "weight is the completed-step count");
-        }
-    }
-
-    #[test]
-    fn hot_gemm_problems_harvests_fused_shape_histogram() {
-        let server = tiny_server(ServerConfig {
-            fused: true,
-            coalesce_wait: Duration::ZERO,
-            ..Default::default()
-        });
-        let hidden = server.model().config().hidden;
+        assert!(hot.iter().all(|(p, _)| p.n == 1), "lone steps run width-1 GEMMs: {hot:?}");
+        assert_eq!(hot[0].1, 3 * 4 * layers, "4 hidden x hidden GEMMs per layer per step");
+        // One 4-lane batch: its harvest carries the batch width.
         let n = 4;
         let ids: Vec<SessionId> = (0..n).map(|_| server.create_session(0).unwrap()).collect();
         let rxs: Vec<_> = ids
@@ -2440,12 +2307,9 @@ mod tests {
             rx.recv().unwrap().unwrap();
         }
         let hot = server.hot_gemm_problems();
-        assert!(!hot.is_empty());
-        assert!(hot.iter().all(|(p, _)| p.n == n), "fused harvest carries the batch width");
         assert!(hot.windows(2).all(|w| w[0].1 >= w[1].1), "sorted hottest-first");
-        // The 4-per-layer hidden x hidden shape outweighs the FFN shapes.
-        let layers = server.model().config().layers as u64;
-        assert_eq!(hot[0].1, 4 * layers);
+        let wide: Vec<u64> = hot.iter().filter(|(p, _)| p.n == n).map(|&(_, w)| w).collect();
+        assert_eq!(wide, vec![4 * layers, layers, layers]);
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub use chrome::chrome_trace_json;
 pub use ring::{Event, EventKind, Ring};
 pub use summary::{quantile_from_buckets_ns, DurationStat, TraceSummary, DURATION_BUCKETS};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -86,7 +86,9 @@ use std::time::Instant;
 /// that never trace allocate nothing.
 pub const DEFAULT_RING_EVENTS: usize = 1 << 16;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Outstanding [`enable`] calls not yet matched by a [`disable`];
+/// recording is on while this is non-zero.
+static ENABLED: AtomicUsize = AtomicUsize::new(0);
 
 /// Requested per-thread ring capacity; 0 means "unset, consult
 /// `PL_TRACE_EVENTS` then [`DEFAULT_RING_EVENTS`]".
@@ -112,26 +114,31 @@ pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
-/// Turns recording on. Cheap to leave on: the cost is one ring write
-/// (~9 relaxed atomic stores) per event.
+/// Turns recording on for one consumer. Cheap to leave on: the cost is
+/// one ring write (~9 relaxed atomic stores) per event. Enabling is
+/// reference-counted: each `enable` is paired with one [`disable`], and
+/// recording stays on while any consumer still holds it, so concurrent
+/// consumers (tests, a traced benchmark next to a traced server) cannot
+/// switch each other off.
 pub fn enable() {
     // Pin the epoch before the first event so early timestamps don't
     // race the OnceLock initialization from several threads.
     let _ = epoch();
-    ENABLED.store(true, Ordering::Release);
+    ENABLED.fetch_add(1, Ordering::AcqRel);
 }
 
-/// Turns recording off. Spans already open still record their `End`
-/// edge so traces stay balanced.
+/// Releases one [`enable`]; recording stops once every consumer has
+/// released it (an unmatched call is a no-op). Spans already open still
+/// record their `End` edge so traces stay balanced.
 pub fn disable() {
-    ENABLED.store(false, Ordering::Release);
+    let _ = ENABLED.fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1));
 }
 
 /// Whether recording is on — the one branch instrumented hot paths pay
 /// when tracing is disabled.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed) > 0
 }
 
 /// Sets the ring capacity (events, rounded up to a power of two) for
@@ -169,6 +176,13 @@ fn record(kind: EventKind, name: &'static str, ts_ns: u64, dur_ns: u64, args: [u
     LOCAL_RING.with(|cell| {
         cell.get_or_init(register_thread).record(kind, name, ts_ns, dur_ns, args);
     });
+}
+
+/// The calling thread's recorder lane (registering its ring on first
+/// use) — what a consumer keeps to scope a process-wide [`snapshot`] to
+/// the threads that did its work.
+pub fn current_lane() -> u32 {
+    LOCAL_RING.with(|cell| cell.get_or_init(register_thread).lane())
 }
 
 /// RAII span guard: records `Begin` on creation (when tracing is

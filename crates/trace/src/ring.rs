@@ -165,21 +165,27 @@ impl Ring {
     /// Copy out the resident events, oldest first, skipping any slot the
     /// writer lapped or was rewriting mid-read. Safe to call from any
     /// thread while the owner keeps recording.
+    ///
+    /// The walk runs newest-first from `head - 1` and stops at the first
+    /// slot that no longer holds its position: the oldest resident slots
+    /// are exactly the ones a hot writer overwrites next, so an
+    /// oldest-first walk would lose the whole ring to a busy lane. The
+    /// collected run is reversed before returning.
     pub fn snapshot(&self) -> Vec<Event> {
         let head = self.head.load(Ordering::Acquire);
         let cap = self.capacity() as u64;
         let first = head.saturating_sub(cap);
         let mut out = Vec::with_capacity((head - first) as usize);
-        for p in first..head {
+        for p in (first..head).rev() {
             let slot = &self.slots[(p & self.mask) as usize];
             let want = 2 * p + 2;
             if slot.words[0].load(Ordering::Acquire) != want {
-                continue;
+                break;
             }
             let w: [u64; WORDS] = std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
             fence(Ordering::Acquire);
             if slot.words[0].load(Ordering::Acquire) != want {
-                continue; // overwritten while copying — discard
+                break; // overwritten while copying — so is everything older
             }
             let Some(kind) = EventKind::decode(w[3]) else { continue };
             // The seq check proved the ptr/len pair is the consistent
@@ -201,6 +207,7 @@ impl Ring {
                 args: [w[6], w[7], w[8]],
             });
         }
+        out.reverse();
         out
     }
 }
@@ -270,6 +277,13 @@ mod tests {
                 i
             })
         };
+        // Snapshot only once the writer is running: on a host where the
+        // spawned thread takes longer to be scheduled than 200 snapshots
+        // of an empty ring take, the loop below would otherwise finish
+        // before a single write and measure nothing.
+        while r.recorded() == 0 {
+            std::thread::yield_now();
+        }
         let mut seen = 0usize;
         for _ in 0..200 {
             let ev = r.snapshot();

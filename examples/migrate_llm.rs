@@ -14,17 +14,16 @@
 //!
 //! Every stream then finishes its remaining steps. A second, identical
 //! router runs the *same* traffic in the same order with **no**
-//! migrations, and both runs are driven sequentially (every batch is one
-//! step wide, so batch composition matches exactly) — which makes the
-//! migrated streams comparable **bitwise in serial AND fused modes**:
-//! migration must be numerically invisible.
+//! migrations, and both runs are driven sequentially. The migrated
+//! streams are compared **bitwise**: migration must be numerically
+//! invisible.
 //!
 //! The router's aggregated pl-metrics snapshot is rendered in Prometheus
 //! text format at the end; CI greps it for the paged-KV families
 //! (`pl_kv_pages_free`, `pl_kv_pages_shared`, `pl_kv_sessions_spilled`)
 //! and the `pl_migrations_total` counter.
 //!
-//! Run: `cargo run --release --example migrate_llm [-- --fused]`
+//! Run: `cargo run --release --example migrate_llm`
 
 use pl_bench::{BenchArtifact, BenchRow, ROUTING_OVERHEAD, SERVE_ARTIFACT};
 use pl_dnn::{DecoderConfig, DecoderModel};
@@ -54,7 +53,7 @@ fn last_token(y: &[f32], hidden: usize) -> Vec<f32> {
     y[y.len() - hidden..].to_vec()
 }
 
-fn make_router(model: &Arc<DecoderModel>, fused: bool, total_threads: usize) -> Router {
+fn make_router(model: &Arc<DecoderModel>, total_threads: usize) -> Router {
     Router::new(
         Arc::clone(model),
         RouterConfig {
@@ -66,7 +65,6 @@ fn make_router(model: &Arc<DecoderModel>, fused: bool, total_threads: usize) -> 
                 max_batch: SESSIONS,
                 kv_capacity: KV,
                 coalesce_wait: Duration::ZERO,
-                fused,
                 ..Default::default()
             },
         },
@@ -111,22 +109,18 @@ fn run_second_half(r: &Router, ids: &[u64], xs: &mut [Vec<f32>], streams: &mut [
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let fused = args.iter().any(|a| a == "--fused")
-        || std::env::var("PL_SERVE_FUSED").is_ok_and(|v| v == "1");
     let cfg = DecoderConfig::scaled_for_tests();
     let hidden = cfg.hidden;
     let model = Arc::new(DecoderModel::new(cfg, 4242));
     let total_threads = default_threads().clamp(SHARDS, 8);
-    let mode = if fused { "fused" } else { "serial" };
     println!(
-        "pl-router migration demo [{mode} mode]: {SESSIONS} sessions / {TENANTS} tenants on \
+        "pl-router migration demo: {SESSIONS} sessions / {TENANTS} tenants on \
          {SHARDS} shards, {PROMPT}-token prompts, {STEPS_BEFORE}+{STEPS_AFTER} decode steps \
          with mid-stream migration"
     );
 
     // --- Migrated run. ---------------------------------------------------
-    let mut router = make_router(&model, fused, total_threads);
+    let mut router = make_router(&model, total_threads);
     router.start();
     let (ids, mut xs, mut streams) = run_first_half(&router, hidden);
 
@@ -170,7 +164,7 @@ fn main() {
     router.shutdown();
 
     // --- Baseline run: identical traffic, no migrations. -----------------
-    let mut baseline_router = make_router(&model, fused, total_threads);
+    let mut baseline_router = make_router(&model, total_threads);
     baseline_router.start();
     let (bids, mut bxs, mut baseline) = run_first_half(&baseline_router, hidden);
     run_second_half(&baseline_router, &bids, &mut bxs, &mut baseline);
@@ -209,7 +203,7 @@ fn main() {
     let fp = pl_retune::host_fingerprint(Platform::generic_host(total_threads).name, total_threads);
     let mut artifact = BenchArtifact::load(&pl_bench::workspace_path(SERVE_ARTIFACT));
     artifact.upsert(BenchRow {
-        mode: format!("migrate-{mode}"),
+        mode: "migrate".into(),
         batch: 1,
         shards: SHARDS,
         steps_per_s: (SESSIONS * STEPS_AFTER) as f64 / decode_s,
@@ -224,7 +218,7 @@ fn main() {
     assert_eq!(migrations, 4, "explicit move + rebalance + two recovery re-homes");
     assert_eq!(mismatches, 0, "migrated streams must be bit-identical to the unmigrated baseline");
     println!(
-        "\nOK [{mode} mode]: {SESSIONS} sessions, {migrations} migrations mid-stream \
+        "\nOK: {SESSIONS} sessions, {migrations} migrations mid-stream \
          (explicit + recovery), all streams bit-identical to the unmigrated baseline; \
          explicit move took {move_us:.1} us"
     );

@@ -7,8 +7,7 @@
 //!    [`pl_retune::warm_or_load`] — a fingerprinted measured DB on disk
 //!    when one exists, the modeled warm-up search otherwise.
 //! 2. **Serve**: eight concurrent closed-loop sessions decode through
-//!    the batcher (serial by default, `--fused` for the fused batch
-//!    path), populating the per-shape statistics the harvest reads.
+//!    the batcher, populating the per-shape statistics the harvest reads.
 //! 3. **Poison**: a deliberately bad loop spec is installed for the
 //!    hottest harvested shape — standing in for a stale or corrupted
 //!    tuning DB. Serving keeps working (plans degrade to the default
@@ -16,7 +15,7 @@
 //! 4. **Retune mid-stream**: with a decode session in flight, one
 //!    [`Retuner::run_cycle`] measures model-ranked candidates on real
 //!    packed buffers and installs the measured winner through the
-//!    registry epoch. The in-flight serial decode stream must be
+//!    registry epoch. The in-flight decode stream must be
 //!    **bit-identical** across the install — zero downtime, zero
 //!    divergence.
 //! 5. **Persist**: the measured DB is saved, reloaded, verified entry
@@ -25,17 +24,17 @@
 //!    demonstrates the degrade path: logged warning, modeled warm-up,
 //!    no panic.
 //!
-//! Run: `cargo run --release --example retune_llm [-- --fused]`
+//! Run: `cargo run --release --example retune_llm`
 
 use pl_autotuner::{DbEntry, TuningDb};
 use pl_dnn::{Decoder, DecoderConfig, DecoderModel};
 use pl_perfmodel::Platform;
 use pl_retune::{
-    force_mode, host_fingerprint, load_measured_db, save_measured_db, warm_or_load, RetuneConfig,
-    Retuner, WarmSource,
+    host_fingerprint, load_measured_db, save_measured_db, warm_or_load, RetuneConfig, Retuner,
+    WarmSource,
 };
 use pl_runtime::{default_threads, ThreadPool};
-use pl_serve::{BatchModeTable, Server, ServerConfig};
+use pl_serve::{Server, ServerConfig};
 use pl_tensor::{fill_uniform, Xorshift};
 use std::sync::Arc;
 use std::time::Duration;
@@ -59,7 +58,7 @@ fn token(seed: u64, hidden: usize) -> Vec<f32> {
     x
 }
 
-fn server_for(model: &Arc<DecoderModel>, pool: &Arc<ThreadPool>, fused: bool) -> Server {
+fn server_for(model: &Arc<DecoderModel>, pool: &Arc<ThreadPool>) -> Server {
     Server::new(
         Arc::clone(model),
         Arc::clone(pool),
@@ -68,16 +67,12 @@ fn server_for(model: &Arc<DecoderModel>, pool: &Arc<ThreadPool>, fused: bool) ->
             max_batch: SESSIONS,
             kv_capacity: KV,
             coalesce_wait: Duration::from_millis(1),
-            fused,
             ..Default::default()
         },
     )
 }
 
 fn main() {
-    let fused = std::env::args().any(|a| a == "--fused")
-        || std::env::var("PL_RETUNE_FUSED").is_ok_and(|v| v == "1");
-    let mode = if fused { "fused" } else { "serial" };
     let threads = default_threads().min(8);
     let platform = Platform::generic_host(threads);
     let model = Arc::new(DecoderModel::new(DecoderConfig::scaled_for_tests(), SEED));
@@ -86,16 +81,16 @@ fn main() {
     // Measurements run on their own pool, never the serving threads.
     let tune_pool = ThreadPool::new(threads);
     let retuner = Retuner::new(platform.clone(), threads, RetuneConfig::default());
-    let db_path = pl_bench::workspace_path(&format!("target/retune_llm_{mode}.db"));
+    let db_path = pl_bench::workspace_path("target/retune_llm.db");
     println!(
-        "pl-retune demo [{mode} mode]: {SESSIONS} sessions x {STEPS} steps, {threads} threads, \
+        "pl-retune demo: {SESSIONS} sessions x {STEPS} steps, {threads} threads, \
          persisted DB at {}",
         db_path.display()
     );
 
     // --- 1. Warm or load. ------------------------------------------------
     let _ = std::fs::remove_file(&db_path); // each run starts cold
-    let mut server = server_for(&model, &pool, fused);
+    let mut server = server_for(&model, &pool);
     match warm_or_load(&server, &platform, threads, &db_path) {
         WarmSource::Warmed(n, why) => {
             assert!(why.is_empty(), "cold start must be a clean miss, got: {why}");
@@ -137,10 +132,6 @@ fn main() {
     println!("poisoned {poisoned_key} with spec {POISON_SPEC:?} (stale-DB stand-in)");
 
     // --- 4. Retune mid-stream, bit-identity across the install. ----------
-    // The stream pins the serial path regardless of the demo mode: the
-    // determinism contract (spec choice never changes values) is a
-    // serial-execution guarantee.
-    force_mode(&server, false);
     let id = server.create_session(0).expect("check session");
     let x0 = token(4242, hidden);
     let mut x = x0.clone();
@@ -161,7 +152,6 @@ fn main() {
         x = y;
     }
     server.close_session(id).unwrap();
-    server.install_mode_policy(BatchModeTable::from_measurements(&[])); // drop the pin
     let report = report.expect("cycle ran");
     let outcome = report
         .outcomes
@@ -206,15 +196,15 @@ fn main() {
         db_path.display()
     );
 
-    let restarted = server_for(&model, &pool, fused);
+    let restarted = server_for(&model, &pool);
     match warm_or_load(&restarted, &platform, threads, &db_path) {
         WarmSource::Loaded(n) => println!("restart path: adopted {n} measured entries from disk"),
         WarmSource::Warmed(n, why) => unreachable!("restart fell back to warm-up ({n}): {why}"),
     }
 
-    let corrupt_path = pl_bench::workspace_path(&format!("target/retune_llm_{mode}_corrupt.db"));
+    let corrupt_path = pl_bench::workspace_path("target/retune_llm_corrupt.db");
     std::fs::write(&corrupt_path, b"\x00\x01 this is not a tuning db").expect("write corrupt file");
-    let degraded = server_for(&model, &pool, fused);
+    let degraded = server_for(&model, &pool);
     match warm_or_load(&degraded, &platform, threads, &corrupt_path) {
         WarmSource::Warmed(n, why) => {
             assert!(!why.is_empty(), "a corrupt file must carry a reason");
@@ -227,7 +217,7 @@ fn main() {
 
     server.shutdown();
     println!(
-        "\nOK: [{mode}] measured winner installed for {poisoned_key} with zero downtime, \
+        "\nOK: measured winner installed for {poisoned_key} with zero downtime, \
          persisted DB round-tripped, corrupt DB degraded to warm-up"
     );
 }

@@ -11,26 +11,17 @@
 //! parallel regions; afterwards every session's entire output stream is
 //! checked against a sequential, unbatched `Decoder` baseline over the
 //! same weights — and the chunked prefill against both a chunk-by-chunk
-//! forward (bitwise) and the whole-prompt forward (tolerance) — and the
-//! `ServerStats` surface is printed.
-//!
-//! Two batch-execution modes:
-//!
-//! * default (serial): each batched step runs whole inside the region —
-//!   the check against the baseline is **bit-identical**.
-//! * `--fused` (or `PL_SERVE_FUSED=1`): per layer, the B sessions'
-//!   projections run as one `hidden x B` GEMM
-//!   (`DecoderModel::step_batch_fused`) — the check is tolerance-based
-//!   (<= 1e-5 relative error at f32) and the fused GEMM shapes are
-//!   printed.
+//! forward and the whole-prompt forward — and the `ServerStats` surface,
+//! including the GEMM shapes batches ran at, is printed. Per layer, each
+//! batch's projections run as single GEMMs over all of its columns
+//! (`DecoderModel::forward_batch`), and every check is **bit-identical**.
 //!
 //! Two precisions (`--precision f32|int8`, or `PL_SERVE_PRECISION`):
 //! with `int8` the model holds VNNI-packed int8 weights and serves
 //! through the quantized i32-accumulation path. The baseline replay uses
-//! the *same* quantized model, so the serial check stays bit-identical
-//! and the fused check tightens around the quantized serial path
-//! (<= 1e-4: per-column activation quantization is batch-invariant). A
-//! further cross-precision replay checks the served int8 streams against
+//! the *same* quantized model, so the check stays bit-identical
+//! (per-column activation quantization and the exact i32 reduction are
+//! batch-invariant). A further cross-precision replay checks the served int8 streams against
 //! a same-seed **f32** model within the quantization-error envelope
 //! (<= 0.25 floored relative error, the bound derived in
 //! `pl_dnn::llm`'s int8 test), open-loop on the served stream so the
@@ -48,14 +39,14 @@
 //! parser (`pl_metrics::parse_prometheus`), cross-checked against the
 //! `ServerStats` counters, and dumped to `metrics_serve_llm.prom`.
 //!
-//! Run: `cargo run --release --example serve_llm [-- --fused] [-- --trace]
+//! Run: `cargo run --release --example serve_llm [-- --trace]
 //! [-- --metrics] [-- --precision int8]`
 
 use pl_dnn::{Decoder, DecoderConfig, DecoderModel, Precision};
 use pl_perfmodel::Platform;
 use pl_runtime::{default_threads, ThreadPool};
 use pl_serve::{Server, ServerConfig};
-use pl_tensor::{fill_uniform, max_rel_err, Xorshift};
+use pl_tensor::{fill_uniform, Xorshift};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -64,12 +55,6 @@ const TENANTS: usize = 2;
 const PROMPT: usize = 4;
 const STEPS: usize = 24;
 const KV: usize = 64;
-const FUSED_TOL: f32 = 1e-5;
-/// Fused-vs-serial tolerance on the quantized path: per-column activation
-/// quantization is batch-invariant and i32 accumulation is exact, so the
-/// fused int8 step tracks the serial int8 step to float rounding in the
-/// f32 epilogue only — looser than f32's 1e-5 but still tight.
-const FUSED_TOL_I8: f32 = 1e-4;
 /// Cross-precision envelope: served int8 outputs vs a same-seed f32
 /// model, per forward (open-loop on the served stream). The bound and
 /// its derivation live with `pl_dnn::llm`'s int8 equivalence test.
@@ -103,8 +88,6 @@ const SEED: u64 = 2024;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let fused = args.iter().any(|a| a == "--fused")
-        || std::env::var("PL_SERVE_FUSED").is_ok_and(|v| v == "1");
     let trace = args.iter().any(|a| a == "--trace")
         || std::env::var("PL_SERVE_TRACE").is_ok_and(|v| v == "1");
     let metrics = args.iter().any(|a| a == "--metrics")
@@ -121,18 +104,13 @@ fn main() {
     if let Ok(v) = std::env::var("PL_SERVE_PRECISION") {
         precision = v.parse().expect("PL_SERVE_PRECISION takes f32|int8");
     }
-    let fused_tol = match precision {
-        Precision::F32 => FUSED_TOL,
-        Precision::Int8 => FUSED_TOL_I8,
-    };
     let cfg = DecoderConfig::scaled_for_tests();
     let hidden = cfg.hidden;
     let model = Arc::new(DecoderModel::new_with_precision(cfg, SEED, precision));
     let pool = Arc::new(ThreadPool::new(default_threads().min(8)));
     println!(
-        "pl-serve demo [{} mode, {precision}]: {SESSIONS} sessions / {TENANTS} tenants, \
+        "pl-serve demo [{precision}]: {SESSIONS} sessions / {TENANTS} tenants, \
          {} threads, {PROMPT}-token prompts + {STEPS} decode steps each",
-        if fused { "fused" } else { "serial" },
         pool.nthreads()
     );
 
@@ -145,7 +123,6 @@ fn main() {
             kv_capacity: KV,
             prefill_chunk: PREFILL_CHUNK,
             coalesce_wait: Duration::from_millis(2),
-            fused,
             precision,
             ..Default::default()
         },
@@ -238,30 +215,17 @@ fn main() {
     // --- Baseline: the same streams, sequential and unbatched. ----------
     let t1 = Instant::now();
     let mut mismatches = 0usize;
-    let mut worst_rel = 0.0f32;
     for (s, (_, served_steps)) in served.iter().enumerate() {
         let mut d = Decoder::from_model(Arc::clone(&model), KV);
         let y = d.prefill(&prompt_for(s, hidden), PROMPT, &pool);
         let mut x = last_token(&y, hidden);
         for (t, served_y) in served_steps.iter().enumerate() {
             let y = d.step(&x, &pool);
-            if fused {
-                let err = max_rel_err(&y, served_y);
-                worst_rel = worst_rel.max(err);
-                if err > fused_tol {
-                    eprintln!("TOLERANCE EXCEEDED: session {s} step {t}: rel err {err}");
-                    mismatches += 1;
-                }
-                // Continue from the served stream so one within-tolerance
-                // divergence cannot compound across the remaining steps.
-                x = served_y.clone();
-            } else {
-                if &y != served_y {
-                    eprintln!("MISMATCH: session {s} step {t}");
-                    mismatches += 1;
-                }
-                x = y;
+            if &y != served_y {
+                eprintln!("MISMATCH: session {s} step {t}");
+                mismatches += 1;
             }
+            x = y;
         }
     }
     // --- Cross-precision: the served int8 streams vs a same-seed f32
@@ -295,9 +259,9 @@ fn main() {
         }
     }
     // The interleaved long prefill: bitwise equal to a chunk-by-chunk
-    // forward (same widths, same kernels — in both modes the chunk runs
-    // the serial forward path), within tolerance of the whole-prompt
-    // forward (chunking changes the projection GEMM widths).
+    // forward and to the whole-prompt forward — its chunks shared batches
+    // with decode lanes, and chunking changes GEMM widths, but never a
+    // column's arithmetic.
     let mut st = model.new_state(KV);
     let chunked_base =
         model.forward_chunked(&mut st, &long_prompt, LONG_PROMPT, PREFILL_CHUNK, &pool);
@@ -306,10 +270,8 @@ fn main() {
         mismatches += 1;
     }
     let mut st = model.new_state(KV);
-    let whole_base = model.forward(&mut st, &long_prompt, LONG_PROMPT, &pool);
-    let long_err = max_rel_err(&long_served, &whole_base);
-    if long_err > fused_tol {
-        eprintln!("TOLERANCE EXCEEDED: chunked vs whole-prompt prefill rel err {long_err}");
+    if long_served != model.forward(&mut st, &long_prompt, LONG_PROMPT, &pool) {
+        eprintln!("MISMATCH: interleaved long prefill vs whole-prompt forward");
         mismatches += 1;
     }
     let base_s = t1.elapsed().as_secs_f64();
@@ -321,7 +283,6 @@ fn main() {
     println!("prefill chunks       {:>10}", snap.prefill_chunks);
     println!("mixed batches        {:>10}", snap.mixed_batches);
     println!("batches              {:>10}", snap.batches);
-    println!("fused batches        {:>10}", snap.fused_batches);
     println!("mean batch size      {:>10.2}", snap.mean_batch);
     println!("max batch observed   {:>10}", snap.max_batch_observed);
     println!("batch distribution   {:?}", snap.batch_distribution);
@@ -334,11 +295,9 @@ fn main() {
         "rejected (backpressure/sessions) {}/{}",
         snap.rejected_backpressure, snap.rejected_sessions
     );
-    if fused {
-        println!("fused GEMM shapes (m x B x k -> GEMMs executed):");
-        for ((m, n, k), count) in &snap.fused_gemm_shapes {
-            println!("  {m:>4} x {n:<2} x {k:>4}   {count:>6}");
-        }
+    println!("GEMM shapes (m x columns x k -> GEMMs executed):");
+    for ((m, n, k), count) in &snap.gemm_shapes {
+        println!("  {m:>4} x {n:<2} x {k:>4}   {count:>6}");
     }
     println!("\nserve wall time      {serve_s:>10.3} s");
     println!("baseline wall time   {base_s:>10.3} s (sequential unbatched)");
@@ -453,12 +412,7 @@ fn main() {
         packs_after_traffic, packs_before_traffic,
         "steady-state serving packed weight bytes (prepared-op discipline violated)"
     );
-    assert_eq!(
-        mismatches,
-        0,
-        "batched outputs must match the baseline ({})",
-        if fused { "within tolerance" } else { "bit-identical" }
-    );
+    assert_eq!(mismatches, 0, "batched outputs must be bit-identical to the baseline");
     if precision == Precision::Int8 {
         println!(
             "int8 vs same-seed f32 model: worst per-forward rel err {worst_xprec:.3} \
@@ -478,28 +432,17 @@ fn main() {
         "short prompts stay single-chunk; the long one splits into {} chunks",
         LONG_PROMPT / PREFILL_CHUNK
     );
-    if fused {
-        // A batch can be a lone prefill chunk; every decode-bearing batch
-        // must have run fused.
-        assert_eq!(snap.fused_batches, snap.decode_batches, "every decode batch must run fused");
-        assert!(!snap.fused_gemm_shapes.is_empty());
-        println!(
-            "\nOK: {SESSIONS} concurrent sessions + 1 interleaved long prefill \
-             ({} chunks, {} mixed batches), max batch {}, fused outputs within \
-             {fused_tol} of the sequential baseline (worst rel err {worst_rel:.2e})",
-            LONG_PROMPT / PREFILL_CHUNK,
-            snap.mixed_batches,
-            snap.max_batch_observed
-        );
-    } else {
-        assert_eq!(snap.fused_batches, 0);
-        println!(
-            "\nOK: {SESSIONS} concurrent sessions + 1 interleaved long prefill \
-             ({} chunks, {} mixed batches), max batch {}, all outputs \
-             bit-identical to the sequential baseline",
-            LONG_PROMPT / PREFILL_CHUNK,
-            snap.mixed_batches,
-            snap.max_batch_observed
-        );
-    }
+    assert!(
+        snap.gemm_shapes.iter().any(|&((_, n, _), _)| n > 1),
+        "some batch must have run multi-column GEMMs: {:?}",
+        snap.gemm_shapes
+    );
+    println!(
+        "\nOK: {SESSIONS} concurrent sessions + 1 interleaved long prefill \
+         ({} chunks, {} mixed batches), max batch {}, all outputs \
+         bit-identical to the sequential baseline",
+        LONG_PROMPT / PREFILL_CHUNK,
+        snap.mixed_batches,
+        snap.max_batch_observed
+    );
 }

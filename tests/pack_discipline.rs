@@ -39,7 +39,7 @@ fn decoder_step_paths_pack_no_weight_bytes() {
     // weight plan (6 per layer, no transposes).
     let after_build = pack_events();
 
-    // Prefill + serial decode through the single-stream wrapper.
+    // Prefill + decode through the single-stream wrapper.
     let mut d = Decoder::from_model(Arc::clone(&model), 32);
     let mut prompt = vec![0.0f32; h * 4];
     fill_uniform(&mut prompt, &mut Xorshift::new(10), -0.5, 0.5);
@@ -49,17 +49,17 @@ fn decoder_step_paths_pack_no_weight_bytes() {
         x = d.step(&x, &pool);
     }
 
-    // Serial batched decode.
+    // Batched decode, then a mixed batch of decode lanes + a chunk.
     let mut states: Vec<_> = (0..3).map(|_| model.new_state(16)).collect();
     let tokens: Vec<Vec<f32>> = (0..3).map(|s| token(h, 20 + s)).collect();
     let batch: Vec<(&mut pl_dnn::DecoderState, &[f32])> =
         states.iter_mut().zip(&tokens).map(|(st, x)| (st, x.as_slice())).collect();
     let _ = model.step_batch(batch, &pool);
-
-    // Fused batched decode.
-    let batch: Vec<(&mut pl_dnn::DecoderState, &[f32])> =
-        states.iter_mut().zip(&tokens).map(|(st, x)| (st, x.as_slice())).collect();
-    let _ = model.step_batch_fused(batch, &pool);
+    let mut batch: Vec<(&mut pl_dnn::DecoderState, &[f32], usize)> =
+        states.iter_mut().zip(&tokens).map(|(st, x)| (st, x.as_slice(), 1)).collect();
+    batch[0].1 = &prompt;
+    batch[0].2 = 4;
+    let _ = model.forward_batch(batch, &pool);
 
     // Warming is kernel construction, never packing.
     model.warm_plans(&[1, 3, 8]);
@@ -86,7 +86,7 @@ fn int8_decoder_quantizes_and_packs_weights_only_at_construction() {
     // re-quantization.
     let after_build = pack_events();
 
-    // Prefill + serial decode.
+    // Prefill + decode.
     let mut d = Decoder::from_model(Arc::clone(&model), 32);
     let mut prompt = vec![0.0f32; h * 4];
     fill_uniform(&mut prompt, &mut Xorshift::new(10), -0.5, 0.5);
@@ -96,15 +96,17 @@ fn int8_decoder_quantizes_and_packs_weights_only_at_construction() {
         x = d.step(&x, &pool);
     }
 
-    // Serial then fused batched decode over the same sessions.
+    // Batched decode, then a mixed batch of decode lanes + a chunk.
     let mut states: Vec<_> = (0..3).map(|_| model.new_state(16)).collect();
     let tokens: Vec<Vec<f32>> = (0..3).map(|s| token(h, 20 + s)).collect();
     let batch: Vec<(&mut pl_dnn::DecoderState, &[f32])> =
         states.iter_mut().zip(&tokens).map(|(st, x)| (st, x.as_slice())).collect();
     let _ = model.step_batch(batch, &pool);
-    let batch: Vec<(&mut pl_dnn::DecoderState, &[f32])> =
-        states.iter_mut().zip(&tokens).map(|(st, x)| (st, x.as_slice())).collect();
-    let _ = model.step_batch_fused(batch, &pool);
+    let mut batch: Vec<(&mut pl_dnn::DecoderState, &[f32], usize)> =
+        states.iter_mut().zip(&tokens).map(|(st, x)| (st, x.as_slice(), 1)).collect();
+    batch[0].1 = &prompt;
+    batch[0].2 = 4;
+    let _ = model.forward_batch(batch, &pool);
 
     model.warm_plans(&[1, 3, 8]);
 

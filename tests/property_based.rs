@@ -331,3 +331,56 @@ fn kv_page_pool_refcount_discipline() {
     }
     assert!(cow_seen > 0, "the op mix never exercised a COW split");
 }
+
+/// Column invariance of prepared plans — the property batched decode
+/// rests on: column `j` of a width-`n` execute equals a width-1 execute of
+/// column `j`, bit for bit, at f32 and int8, for random widths, both with
+/// no tuning registry and with one that covers only `n = 1` (so width 1
+/// runs a tuned K-split spec while wider executes run the built-in
+/// default). The `k`s below split into several K blocks, where a
+/// per-width reduction order would show.
+#[test]
+fn matmul_plan_columns_are_batch_invariant() {
+    use pl_autotuner::{DbEntry, TuningDb};
+    use pl_dnn::matmul::Trans;
+    use pl_dnn::{MatmulPlan, Precision};
+
+    let pool = ThreadPool::new(2);
+    let shapes = [(32usize, 96usize), (64, 128), (24, 192), (96, 64)];
+    let precisions = [Precision::F32, Precision::Int8];
+    let mut rng = Xorshift::new(0xc0ffee);
+    for registry in [false, true] {
+        if registry {
+            let mut db = TuningDb::new();
+            for (m, k) in shapes {
+                for p in precisions {
+                    let key = TuningDb::gemm_key("prop", m, 1, k, &p.dtype().to_string());
+                    db.put(&key, DbEntry { spec: "aBC".into(), score: 1.0 });
+                }
+            }
+            pl_dnn::tuning::install("prop", db);
+        } else {
+            pl_dnn::tuning::clear();
+        }
+        for case in 0..16 {
+            let (m, k) = shapes[draw(&mut rng, 0, shapes.len())];
+            let precision = precisions[case % 2];
+            let n = draw(&mut rng, 1, 25);
+            let mut w = vec![0.0f32; m * k];
+            let mut x = vec![0.0f32; k * n];
+            pl_tensor::fill_uniform(&mut w, &mut rng, -1.0, 1.0);
+            pl_tensor::fill_uniform(&mut x, &mut rng, -1.0, 1.0);
+            let plan = MatmulPlan::with_precision(&w, Trans::No, m, k, precision);
+            let wide = plan.execute(&x, n, &pool);
+            for j in 0..n {
+                let col = plan.execute(&x[j * k..(j + 1) * k], 1, &pool);
+                assert_eq!(
+                    &wide[j * m..(j + 1) * m],
+                    &col[..],
+                    "case {case} registry={registry}: {precision} {m}x{n}x{k} column {j}"
+                );
+            }
+        }
+    }
+    pl_dnn::tuning::clear();
+}

@@ -1,6 +1,6 @@
 //! Integration test of the pl-router scale-out tier: concurrent sessions
 //! routed across core-partitioned shards must behave exactly like a
-//! single server — bit-identical streams in serial mode, no cross-shard
+//! single server — bit-identical streams, no cross-shard
 //! state leakage, stats that aggregate coherently, drains that never
 //! drop queued work.
 

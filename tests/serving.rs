@@ -3,7 +3,8 @@
 //! outputs must be bit-identical to a sequential, unbatched `Decoder`
 //! baseline over the same shared weights.
 
-use pl_dnn::{Decoder, DecoderConfig, DecoderModel};
+use pl_dnn::{Decoder, DecoderConfig, DecoderModel, Precision};
+use pl_perfmodel::Platform;
 use pl_runtime::ThreadPool;
 use pl_serve::{Server, ServerConfig};
 use pl_tensor::{fill_uniform, Xorshift};
@@ -89,89 +90,95 @@ fn concurrent_batched_sessions_match_unbatched_decoder() {
     }
 }
 
-use pl_tensor::max_rel_err;
-
 #[test]
-fn fused_batched_sessions_match_serial_within_tolerance() {
-    // The same multi-tenant multi-step workload as the bit-identity test,
-    // but through the fused cross-session path (`ServerConfig::fused`):
-    // every session's whole output stream must agree with the sequential
-    // unbatched baseline within 1e-5 relative error, and the fused GEMM
-    // shapes must be observable in the stats.
-    let cfg = DecoderConfig::scaled_for_tests();
-    let hidden = cfg.hidden;
-    let model = Arc::new(DecoderModel::new(cfg, 90210));
-    let pool = Arc::new(ThreadPool::new(4));
-    let mut server = Server::new(
-        Arc::clone(&model),
-        Arc::clone(&pool),
-        ServerConfig {
-            tenants: 3,
-            max_batch: SESSIONS,
-            kv_capacity: KV,
-            coalesce_wait: Duration::from_millis(2),
-            fused: true,
-            ..Default::default()
-        },
-    );
-    server.start();
+fn mixed_batched_sessions_match_each_session_alone_bitwise() {
+    // Ragged prompts (one long enough to split into chunks that share
+    // batches with live decode lanes), multi-tenant closed-loop decode,
+    // 2-token KV pages — at f32 and int8, with and without a warmed
+    // tuning registry. Every session's whole output stream must equal
+    // that session run alone through an unbatched `Decoder`, bit for
+    // bit, and the GEMM widths batches ran at must be observable.
+    for precision in [Precision::F32, Precision::Int8] {
+        for warm in [false, true] {
+            let cfg = DecoderConfig::scaled_for_tests();
+            let hidden = cfg.hidden;
+            let model = Arc::new(DecoderModel::new_with_precision(cfg, 90210, precision));
+            let pool = Arc::new(ThreadPool::new(4));
+            let mut server = Server::new(
+                Arc::clone(&model),
+                Arc::clone(&pool),
+                ServerConfig {
+                    tenants: 3,
+                    max_batch: SESSIONS,
+                    kv_capacity: KV,
+                    kv_page_tokens: 2,
+                    prefill_chunk: 4,
+                    coalesce_wait: Duration::from_millis(2),
+                    precision,
+                    ..Default::default()
+                },
+            );
+            if warm {
+                server.warm_tuning(&Platform::zen4(), pool.nthreads());
+            }
+            server.start();
+            // Session s prompts with PROMPT + s tokens: prompts longer
+            // than the 4-token chunk cap split (the last into 4 + 4).
+            let prompt = |s: usize| {
+                let mut x = vec![0.0f32; hidden * (PROMPT + s)];
+                fill_uniform(&mut x, &mut Xorshift::new(4100 + s as u64), -0.5, 0.5);
+                x
+            };
 
-    let mut served: Vec<Vec<Vec<f32>>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for s in 0..SESSIONS {
-            let server = &server;
-            handles.push(scope.spawn(move || {
-                let id = server.create_session(s % 3).expect("admitted");
-                let y = server.prefill(id, &prompt_for(s, hidden), PROMPT).unwrap();
-                let mut x = last_token(&y, hidden);
-                let mut outs = Vec::with_capacity(STEPS);
-                for _ in 0..STEPS {
-                    let y = server.step(id, &x).unwrap();
-                    x = y.clone();
-                    outs.push(y);
+            let mut served: Vec<Vec<Vec<f32>>> = Vec::new();
+            std::thread::scope(|scope| {
+                let mut handles = Vec::new();
+                for s in 0..SESSIONS {
+                    let server = &server;
+                    handles.push(scope.spawn(move || {
+                        let id = server.create_session(s % 3).expect("admitted");
+                        let y = server.prefill(id, &prompt(s), PROMPT + s).unwrap();
+                        let mut x = last_token(&y, hidden);
+                        let mut outs = vec![y];
+                        for _ in 0..STEPS {
+                            let y = server.step(id, &x).unwrap();
+                            x = y.clone();
+                            outs.push(y);
+                        }
+                        assert_eq!(server.close_session(id).unwrap(), STEPS as u64);
+                        outs
+                    }));
                 }
-                assert_eq!(server.close_session(id).unwrap(), STEPS as u64);
-                outs
-            }));
-        }
-        for h in handles {
-            served.push(h.join().unwrap());
-        }
-    });
+                for h in handles {
+                    served.push(h.join().unwrap());
+                }
+            });
 
-    let snap = server.stats().snapshot();
-    server.shutdown();
-    assert_eq!(snap.completed, (SESSIONS * STEPS) as u64);
-    // Prefills now ride the batcher too, so a batch can be a lone prefill
-    // chunk: the fused invariant is that every *decode-bearing* batch ran
-    // fused.
-    assert_eq!(snap.fused_batches, snap.decode_batches, "every decode batch ran fused");
-    assert!(!snap.fused_gemm_shapes.is_empty(), "fused GEMM shapes recorded");
-    let cfg = *model.config();
-    for &((m, n, k), _) in &snap.fused_gemm_shapes {
-        assert!((1..=SESSIONS).contains(&n), "n is a batch size, got {n}");
-        assert!(
-            (m, k) == (cfg.hidden, cfg.hidden)
-                || (m, k) == (cfg.ffn, cfg.hidden)
-                || (m, k) == (cfg.hidden, cfg.ffn),
-            "unexpected fused shape {m}x{n}x{k}"
-        );
-    }
+            let snap = server.stats().snapshot();
+            server.shutdown();
+            assert_eq!(snap.completed, (SESSIONS * STEPS) as u64);
+            assert!(!snap.gemm_shapes.is_empty(), "GEMM shapes recorded");
+            for &((m, n, k), _) in &snap.gemm_shapes {
+                assert!((1..SESSIONS + 4).contains(&n), "n is a batch's column count, got {n}");
+                assert!(
+                    (m, k) == (cfg.hidden, cfg.hidden)
+                        || (m, k) == (cfg.ffn, cfg.hidden)
+                        || (m, k) == (cfg.hidden, cfg.ffn),
+                    "unexpected GEMM shape {m}x{n}x{k}"
+                );
+            }
 
-    // Sequential unbatched baseline; tolerance, not bit-identity — the
-    // fused path reassociates the projections over the batch dimension.
-    for (s, served_session) in served.iter().enumerate() {
-        let mut d = Decoder::from_model(Arc::clone(&model), KV);
-        let y = d.prefill(&prompt_for(s, hidden), PROMPT, &pool);
-        let mut x = last_token(&y, hidden);
-        for (t, served_y) in served_session.iter().enumerate() {
-            let y = d.step(&x, &pool);
-            let err = max_rel_err(&y, served_y);
-            assert!(err <= 1e-5, "session {s} step {t}: rel err {err}");
-            // Continue the baseline from the *served* stream so a single
-            // within-tolerance divergence cannot compound across steps.
-            x = served_y.clone();
+            for (s, served_session) in served.iter().enumerate() {
+                let mut d = Decoder::from_model(Arc::clone(&model), KV);
+                let y = d.prefill(&prompt(s), PROMPT + s, &pool);
+                assert_eq!(y, served_session[0], "{precision} warm={warm} session {s} prefill");
+                let mut x = last_token(&y, hidden);
+                for (t, served_y) in served_session[1..].iter().enumerate() {
+                    let y = d.step(&x, &pool);
+                    assert_eq!(&y, served_y, "{precision} warm={warm} session {s} step {t}");
+                    x = y;
+                }
+            }
         }
     }
 }
@@ -338,16 +345,14 @@ fn chunked_prefill_interleaves_with_live_decode_traffic() {
     );
 
     // Correctness of the interleaved prefill: bitwise equal to a chunked
-    // forward (same widths, same kernels), within tolerance of the
-    // whole-prompt forward.
+    // forward and to the whole-prompt forward.
     let bpool = ThreadPool::new(2);
     let mut st = model.new_state(64);
     let chunked = model.forward_chunked(&mut st, &prompt, PROMPT_TOKENS, CHUNK, &bpool);
     assert_eq!(prefill_out, chunked, "served chunked prefill must match forward_chunked bitwise");
     let mut st_whole = model.new_state(64);
     let whole = model.forward(&mut st_whole, &prompt, PROMPT_TOKENS, &bpool);
-    let err = max_rel_err(&prefill_out, &whole);
-    assert!(err <= 1e-5, "chunked vs whole-prompt prefill rel err {err}");
+    assert_eq!(prefill_out, whole, "served chunked prefill must match the whole prompt bitwise");
 
     // The prefill session's KV context really holds all 32 tokens: its
     // next decode step must continue bit-identically from the chunked

@@ -6,9 +6,16 @@ use pl_kernels::{Gemm, GemmShape, GemmTuning};
 use pl_perfmodel::{GemmModelSpec, Platform};
 use pl_runtime::ThreadPool;
 use pl_tensor::{fill_uniform, BlockedMatrix, DType, Xorshift};
+use std::sync::Mutex;
+
+/// Held by the tests that run kernels: the wall-clock comparison below
+/// must not share the host's cores with a concurrently running sibling
+/// (the test harness runs tests on parallel threads).
+static KERNELS: Mutex<()> = Mutex::new(());
 
 #[test]
 fn modeled_winner_beats_pathological_schedule_when_measured() {
+    let _guard = KERNELS.lock().unwrap_or_else(|e| e.into_inner());
     let pool = ThreadPool::new(2);
     let (m, n, k) = (128usize, 128usize, 128usize);
     let shape = GemmShape { m, n, k, bm: 32, bn: 32, bk: 32 };
@@ -80,6 +87,7 @@ fn model_scores_parallel_above_replicated() {
 fn spec_generation_feeds_real_kernels() {
     // Every generated candidate (with ladder blockings) must construct a
     // valid kernel — the zero-code-change property of §II-D.
+    let _guard = KERNELS.lock().unwrap_or_else(|e| e.into_inner());
     let pool = ThreadPool::new(2);
     let (m, n, k) = (64usize, 64usize, 64usize);
     let shape = GemmShape { m, n, k, bm: 16, bn: 16, bk: 16 };
